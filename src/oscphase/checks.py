@@ -19,6 +19,7 @@ from .evolution import (
     classify_winding,
     half_period_advance_check,
     phase_trajectory,
+    propagate,
     tau_law_check,
     winding_interval,
 )
@@ -747,15 +748,18 @@ def _evolution_checks(ctx: _Context) -> list[CheckReport]:
             [((0, 0, 0), lam, 1 / np.sqrt(2)), ((1, 0, 0), lam, 1 / np.sqrt(2))]
         )
         points = phase_trajectory(spec, t_grid, params, pset)
-        vals = np.array([p.exp_plus for p in points])
-        rot = vals * np.exp(sign * 2j * w * t_grid)
+        # the law is tested on brute-force expectations of the propagated
+        # state, which phase_trajectory's spectral values must also match
+        psis = [propagate(spec, t, params, pset.doubled) for t in t_grid]
+        brute = np.array([np.vdot(psi, pset.exp_plus.matrix @ psi) for psi in psis])
+        rot = brute * np.exp(sign * 2j * w * t_grid)
         out.append(
             CheckReport(
                 "expectation_rotation_" + tag,
                 "<E>(t) = <E>(0) exp(-2iwt) on H_+ (conjugate rate on H_-)",
                 "open",
                 pset.exp_plus.window,
-                float(np.abs(rot - vals[0]).max()),
+                float(max(np.abs(rot - brute[0]).max(), np.abs(points.exp_plus - brute).max())),
                 TOL_ROTATION,
             )
         )

@@ -28,6 +28,8 @@ from .spherical import build_spherical, degeneracy_table
 DEFAULT_STATE = "0,0,0,+ : 0.7071067811865476 ; 1,0,0,+ : 0.7071067811865476"
 
 CSV_HEADER = "t,re_exp_plus,im_exp_plus,abs_exp_plus,phi_unwound,tau,j,sigma,branch"
+CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s,%s\n"
+CSV_CHUNK_ROWS = 4096  # rows per write: bounds the memory of the formatted text
 
 
 class ConfigError(Exception):
@@ -181,27 +183,21 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     n_steps = int(round(cfg.t_max / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
     try:
-        points = phase_trajectory(spec, times, params, pset)
+        traj = phase_trajectory(spec, times, params, pset)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     stream, close = _open_out(cfg)
     try:
         stream.write(CSV_HEADER + "\n")
-        for pt in points:
-            stream.write(
-                "%s,%s,%s,%s,%s,%s,%d,%s,%s\n"
-                % (
-                    _fmt(pt.t),
-                    _fmt(pt.exp_plus.real),
-                    _fmt(pt.exp_plus.imag),
-                    _fmt(abs(pt.exp_plus)),
-                    _fmt(pt.phi_unwound),
-                    _fmt(pt.tau),
-                    pt.winding.j,
-                    pt.winding.sigma,
-                    pt.winding.branch,
-                )
-            )
+        for k in range(0, len(traj), CSV_CHUNK_ROWS):
+            rows = slice(k, k + CSV_CHUNK_ROWS)
+            e = traj.exp_plus[rows]
+            # hypot rounds like abs(complex); np.abs can differ in the last digit
+            modulus = np.hypot(e.real, e.imag)
+            floats = (traj.t[rows], e.real, e.imag, modulus, traj.phi[rows], traj.tau[rows])
+            columns = [(c + 0.0).tolist() for c in floats]  # + 0.0 folds -0.0 as _fmt does
+            columns += [traj.j[rows].tolist(), traj.sigma[rows].tolist(), [traj.branch] * len(e)]
+            stream.write("".join(CSV_ROW % row for row in zip(*columns)))
     finally:
         if close:
             stream.close()

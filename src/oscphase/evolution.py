@@ -1,17 +1,24 @@
 """Time evolution and phase-expectation trajectories on the doubled space.
 
 The Hamiltonian is diagonal over the doubled spherical labels with
-eigenvalue w (2n + l + 3/2) on both copies, so propagation is a diagonal
-phase multiplication. For a state supported on a single copy the
-expectation of the phase exponential rotates rigidly,
+eigenvalue w (N + 3/2), N = 2n + l, on both copies, so propagation is a
+diagonal phase multiplication and every expectation is a short Fourier
+series over shell displacements D of the operator,
+
+    <psi(t)| A |psi(t)> = sum_D C_D exp(i D w t).
+
+For a state supported on a single copy the phase exponential has one
+component, D = -2 on H_+ and D = +2 on H_-, so its expectation rotates
+rigidly,
 
     <exp(2i phase)>(t) = <exp(2i phase)>(0) exp(-2 i w t)   on H_+,
 
 with the opposite rotation on H_-. Half the continuous argument of that
-expectation is the unwound phase phi(t); tau = -phi / w then advances
-with slope +1 (H_+) or -1 (H_-). The winding bookkeeping (j, sigma)
-labels which pi-wide cell of the real line phi currently occupies; the
-cells tile the line exactly, one full period stepping j by one.
+expectation is the unwound phase phi(t) = (arg C + D w t) / 2, exact on
+any grid; tau = -phi / w then advances with slope +1 (H_+) or -1 (H_-).
+The winding bookkeeping (j, sigma) labels which pi-wide cell of the real
+line phi currently occupies; the cells tile the line exactly, one full
+period stepping j by one.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import OscParams
-from .kernels import trajectory_expectations
 from .phase3d import DoubledBasis, PhaseOperatorSet
 from .spherical import SphericalLabel
 
@@ -115,14 +121,18 @@ def _wrap_pi(x: float) -> float:
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _winding_from_cell(k: int, branch: str) -> WindingState:
+def _winding_columns(phi: np.ndarray, branch: str) -> tuple[np.ndarray, np.ndarray]:
+    """(j, sigma) arrays of the winding cells holding each phi on one branch."""
+    k = np.ceil(phi / np.pi) - 1  # unique k with k pi < phi <= (k+1) pi
+    # the division can misplace phi by one cell right at a boundary
+    # (a subnormal phi underflows the quotient to zero, for instance);
+    # snap k against the same products winding_interval uses
+    k = (k - (phi <= k * np.pi) + (phi > (k + 1) * np.pi)).astype(np.int64)
+    odd = k % 2
+    half = (k + odd) // 2
     if branch == "(+)":
-        if k % 2 == 0:
-            return WindingState(j=-k // 2, sigma="-", branch=branch)
-        return WindingState(j=-(k + 1) // 2, sigma="+", branch=branch)
-    if k % 2 == 0:
-        return WindingState(j=k // 2, sigma="+", branch=branch)
-    return WindingState(j=(k + 1) // 2, sigma="-", branch=branch)
+        return -half, np.where(odd == 1, "+", "-")
+    return half, np.where(odd == 1, "-", "+")
 
 
 def _cell_from_winding(j: int, sigma: str, branch: str) -> int:
@@ -140,15 +150,10 @@ def classify_winding(phi: float, branch: str) -> WindingState:
     """
     if branch not in ("(+)", "(-)"):
         raise ValueError("branch must be '(+)' or '(-)'")
-    k = math.ceil(phi / math.pi) - 1  # unique k with k pi < phi <= (k+1) pi
-    # the division can misplace phi by one cell right at a boundary
-    # (a subnormal phi underflows the quotient to zero, for instance);
-    # snap k against the same products winding_interval uses
-    if phi <= k * math.pi:
-        k -= 1
-    elif phi > (k + 1) * math.pi:
-        k += 1
-    return _winding_from_cell(k, branch)
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite, got %r" % phi)
+    j, sigma = _winding_columns(np.array([float(phi)]), branch)
+    return WindingState(j=int(j[0]), sigma=str(sigma[0]), branch=branch)
 
 
 def winding_interval(j: int, sigma: str, branch: str) -> tuple[float, float]:
@@ -161,20 +166,78 @@ def winding_interval(j: int, sigma: str, branch: str) -> tuple[float, float]:
     return (k * math.pi, (k + 1) * math.pi)
 
 
+def spectral_components(shells, amps, op_csr) -> tuple[np.ndarray, np.ndarray]:
+    """Shell displacements D and coefficients C_D of <psi(t)| A |psi(t)>.
+
+    With psi(t) = exp(-i w (shells + 3/2) t) amps, the expectation equals
+    sum_D C_D exp(i D w t); C_D sums conj(a_i) A_ij a_j over the stored
+    entries of A with shells[i] - shells[j] = D, in one O(nnz) pass.
+    """
+    coo = op_csr.tocoo()
+    shells = np.asarray(shells, dtype=np.int64)
+    amps = np.asarray(amps, dtype=np.complex128)
+    weights = np.conj(amps[coo.row]) * coo.data * amps[coo.col]
+    deltas, which = np.unique(shells[coo.row] - shells[coo.col], return_inverse=True)
+    coeffs = np.bincount(which, weights.real) + 1j * np.bincount(which, weights.imag)
+    return deltas, coeffs
+
+
+def expectation_series(deltas, coeffs, omega: float, t_grid) -> np.ndarray:
+    """sum_D C_D exp(i D w t) at every t of the grid."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    out = np.zeros(t_grid.shape, dtype=np.complex128)
+    for delta, c in zip(deltas, coeffs):
+        out += c * np.exp(1j * (delta * omega) * t_grid)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Columns of a phase trajectory, one entry per grid time.
+
+    len, indexing and iteration yield TrajectoryPoint rows.
+    """
+
+    t: np.ndarray
+    exp_plus: np.ndarray
+    phi: np.ndarray
+    tau: np.ndarray
+    j: np.ndarray
+    sigma: np.ndarray
+    branch: str
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, k: int) -> TrajectoryPoint:
+        e = complex(self.exp_plus[k])
+        return TrajectoryPoint(
+            t=float(self.t[k]),
+            exp_plus=e,
+            exp_minus=e.conjugate(),
+            phi_unwound=float(self.phi[k]),
+            tau=float(self.tau[k]),
+            winding=WindingState(j=int(self.j[k]), sigma=str(self.sigma[k]), branch=self.branch),
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
 def phase_trajectory(
     spec: StateSpec, t_grid, params: OscParams, pset: PhaseOperatorSet
-) -> list[TrajectoryPoint]:
+) -> Trajectory:
     """Expectation of the phase exponential along a time grid.
 
     The state must live in one copy and inside the trajectory window
     (every supported label needs 2n + l <= n_max - 2, where the phase
-    exponential is exact). The argument of exp_plus is unwound by
-    nearest-branch continuation with phi(0) in (-pi, pi].
+    exponential is exact). There the expectation has the single spectral
+    component C exp(i D w t), and phi(t) = (arg C + D w t) / 2 with
+    arg C in (-pi, pi]: exact on any grid, however coarse.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1D array")
-    lam = spec.branch_lambda()
+    t_grid = np.array(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be a nonempty 1D array of finite times")
     branch = spec.branch
     doubled = pset.doubled
     for label, _lam, amp in spec.terms:
@@ -183,34 +246,26 @@ def phase_trajectory(
                 f"label {label} sits outside the trajectory window (2n+l <= n_max-2)"
             )
     vec = state_vector(spec, doubled)
-    evals = energies(doubled, params)
-    exp_plus = trajectory_expectations(evals, vec, pset.exp_plus.matrix, t_grid)
+    deltas, coeffs = spectral_components(doubled.shells, vec, pset.exp_plus.matrix)
+    exp_plus = expectation_series(deltas, coeffs, params.omega, t_grid)
 
     if abs(exp_plus[0]) < PHASE_MODULUS_TOL:
         raise PhaseUndefined(
             f"|<exp(2i phase)>(0)| = {abs(exp_plus[0]):.3e} for state {spec.terms!r}"
         )
-    raw = np.angle(exp_plus)
-    theta = np.empty_like(raw)
-    theta[0] = raw[0]
-    for k in range(1, raw.size):
-        theta[k] = theta[k - 1] + _wrap_pi(raw[k] - raw[k - 1])
-    phi = 0.5 * theta
-    tau = -phi / params.omega
-
-    points = []
-    for k, t in enumerate(t_grid):
-        points.append(
-            TrajectoryPoint(
-                t=float(t),
-                exp_plus=complex(exp_plus[k]),
-                exp_minus=complex(np.conj(exp_plus[k])),
-                phi_unwound=float(phi[k]),
-                tau=float(tau[k]),
-                winding=classify_winding(float(phi[k]), branch),
-            )
+    live = np.flatnonzero(np.abs(coeffs) >= PHASE_MODULUS_TOL)
+    if live.size != 1:
+        comps = ", ".join(f"D={deltas[k]}: {coeffs[k]:.3e}" for k in live)
+        raise UnwrapAmbiguity(
+            f"<exp(2i phase)>(t) has {live.size} spectral components ({comps}); "
+            "its phase has no single rotation to unwind"
         )
-    return points
+    delta, c = deltas[live[0]], coeffs[live[0]]
+    phi = 0.5 * (np.angle(c) + (delta * params.omega) * t_grid)
+    j, sigma = _winding_columns(phi, branch)
+    return Trajectory(
+        t=t_grid, exp_plus=exp_plus, phi=phi, tau=-phi / params.omega, j=j, sigma=sigma, branch=branch
+    )
 
 
 @dataclass(frozen=True)
@@ -220,7 +275,7 @@ class TauFit:
     max_residual: float
 
 
-def tau_law_check(points: list[TrajectoryPoint]) -> TauFit:
+def tau_law_check(points: Trajectory | list[TrajectoryPoint]) -> TauFit:
     """Least-squares line through tau(t); raises on unusable grids.
 
     A single point leaves the slope undefined, and any step that moves

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from oscphase import (
+    OscParams,
+    build_basis,
+    build_phase_operators,
+    build_spherical,
+    cartesian_operators,
+    phase_trajectory,
+)
+from oscphase import cli
 from oscphase.cli import (
     CSV_HEADER,
     ConfigError,
@@ -82,6 +91,38 @@ def test_trajectory_explicit_state(tmp_path):
     assert code == 0
     first = out.read_text().splitlines()[1].split(",")
     assert abs(float(first[3]) - 0.48) < 1e-12  # |conj(0.6) * 0.8j * 1|
+
+
+def test_trajectory_coarse_grid_is_exact(tmp_path):
+    # dt = 2 at w = 1 turns arg<E> by 4 rad a step, which nearest-branch
+    # unwrapping would alias; the closed form needs no unwrapping
+    out = tmp_path / "coarse.csv"
+    assert run_cli(["trajectory", "--dt", "2", "--t-max", "8", "--out", str(out)]) == 0
+    rows = np.array([ln.split(",")[:6] for ln in out.read_text().splitlines()[1:]], dtype=float)
+    t, phi, tau = rows[:, 0], rows[:, 4], rows[:, 5]
+    assert list(t) == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert np.abs(tau - t).max() < 1e-12
+    assert np.abs(phi + t).max() < 1e-12
+
+
+def test_trajectory_chunks_match_row_formatting(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+    out = tmp_path / "chunked.csv"
+    # real amplitudes start phi at 0, so tau(0) = -0.0 must print as 0
+    state = "0,1,1,- : 0.6 ; 1,1,1,- : 0.8"
+    argv = ["trajectory", "--n-max", "5", "--t-max", "3.0", "--dt", "0.1", "--state", state]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    params = OscParams()
+    basis = build_basis(5)
+    ops = cartesian_operators(basis, params)
+    pset = build_phase_operators(build_spherical(basis, params, ops), params, "open", ops)
+    traj = phase_trajectory(parse_state(state), np.arange(31) * 0.1, params, pset)
+    want = [CSV_HEADER]
+    for p in traj:
+        floats = (p.t, p.exp_plus.real, p.exp_plus.imag, abs(p.exp_plus), p.phi_unwound, p.tau)
+        labels = [str(p.winding.j), p.winding.sigma, p.winding.branch]
+        want.append(",".join([cli._fmt(v) for v in floats] + labels))
+    assert out.read_text() == "\n".join(want) + "\n"
 
 
 def test_phase_undefined_exits_one(capsys):

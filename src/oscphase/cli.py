@@ -14,16 +14,18 @@ Options may come from flags or from a config file of `key = value` lines
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .checks import run_all_checks
 from .evolution import PhaseUndefined, StateSpec, phase_trajectory
-from .fock import OscParams, build_basis, cartesian_operators, op_norm_1
-from .phase3d import build_phase_operators, doubled_identity
-from .spherical import build_spherical, degeneracy_table
+from .fock import OscParams, op_norm_1
+from .phase3d import build_model, doubled_identity
+from .spherical import degeneracy_table
 
 DEFAULT_STATE = "0,0,0,+ : 0.7071067811865476 ; 1,0,0,+ : 0.7071067811865476"
 
@@ -49,8 +51,10 @@ class RunConfig:
     n_max_list: tuple[int, ...] = ()
 
     def validate(self) -> "RunConfig":
-        if self.n_max < 0:
-            raise ConfigError("n_max must be >= 0")
+        if self.n_max < 0 or any(n < 0 for n in self.n_max_list):
+            raise ConfigError("n_max and n_max_list entries must be >= 0")
+        if not all(math.isfinite(x) for x in (self.mass, self.omega, self.t_max, self.dt)):
+            raise ConfigError("mass, omega, t_max and dt must be finite")
         if self.mass <= 0 or self.omega <= 0:
             raise ConfigError("mass and omega must be positive")
         if self.mode not in ("open", "cyclic"):
@@ -139,18 +143,20 @@ def _fmt(x: float) -> str:
     return format(float(x) + 0.0, ".17g")  # + 0.0 folds -0.0 into 0.0
 
 
-def _open_out(cfg: RunConfig):
+@contextmanager
+def _output(cfg: RunConfig):
     if cfg.out is None:
-        return sys.stdout, False
-    return open(cfg.out, "w"), True
+        yield sys.stdout
+    else:
+        with open(cfg.out, "w") as fh:
+            yield fh
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     params = OscParams(cfg.mass, cfg.omega)
     reports = run_all_checks(cfg.n_max, params)
-    stream, close = _open_out(cfg)
     failed = 0
-    try:
+    with _output(cfg) as stream:
         for rep in reports:
             status = "PASS" if rep.passed else "FAIL"
             failed += 0 if rep.passed else 1
@@ -162,9 +168,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             "# summary: checks=%d passed=%d failed=%d n_max=%d mass=%s omega=%s\n"
             % (len(reports), len(reports) - failed, failed, cfg.n_max, _fmt(cfg.mass), _fmt(cfg.omega))
         )
-    finally:
-        if close:
-            stream.close()
     return 1 if failed else 0
 
 
@@ -176,18 +179,14 @@ def cmd_trajectory(cfg: RunConfig) -> int:
             raise ConfigError(
                 "state label (%d,%d,%d) needs 2n+l <= n_max=%d" % (label.n, label.l, label.m, cfg.n_max)
             )
-    basis = build_basis(cfg.n_max)
-    ops = cartesian_operators(basis, params)
-    sph = build_spherical(basis, params, ops)
-    pset = build_phase_operators(sph, params, cfg.mode, ops)
+    pset = build_model(cfg.n_max, params, (cfg.mode,)).psets[cfg.mode]
     n_steps = int(round(cfg.t_max / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
     try:
         traj = phase_trajectory(spec, times, params, pset)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    stream, close = _open_out(cfg)
-    try:
+    with _output(cfg) as stream:
         stream.write(CSV_HEADER + "\n")
         for k in range(0, len(traj), CSV_CHUNK_ROWS):
             rows = slice(k, k + CSV_CHUNK_ROWS)
@@ -198,58 +197,36 @@ def cmd_trajectory(cfg: RunConfig) -> int:
             columns = [(c + 0.0).tolist() for c in floats]  # + 0.0 folds -0.0 as _fmt does
             columns += [traj.j[rows].tolist(), traj.sigma[rows].tolist(), [traj.branch] * len(e)]
             stream.write("".join(CSV_ROW % row for row in zip(*columns)))
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    basis = build_basis(cfg.n_max)
-    params = OscParams(cfg.mass, cfg.omega)
-    ops = cartesian_operators(basis, params)
-    sph = build_spherical(basis, params, ops)
-    stream, close = _open_out(cfg)
-    try:
+    sph = build_model(cfg.n_max, OscParams(cfg.mass, cfg.omega)).sph
+    with _output(cfg) as stream:
         for shell, e_over_w, mult, lvals in degeneracy_table(sph):
             stream.write(
                 "N=%d E_over_omega=%s multiplicity=%d l=[%s]\n"
                 % (shell, _fmt(e_over_w), mult, ",".join(str(l) for l in lvals))
             )
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def cmd_unitarity_scan(cfg: RunConfig) -> int:
     sizes = cfg.n_max_list or (cfg.n_max,)
+    params = OscParams(cfg.mass, cfg.omega)
     rows = []
     for n_max in sizes:
-        if n_max < 0:
-            raise ConfigError("n_max_list entries must be >= 0")
-        basis = build_basis(n_max)
-        params = OscParams(cfg.mass, cfg.omega)
-        ops = cartesian_operators(basis, params)
-        sph = build_spherical(basis, params, ops)
-        open_pset = build_phase_operators(sph, params, "open", ops)
-        cyc_pset = build_phase_operators(sph, params, "cyclic", ops)
+        psets = build_model(n_max, params, ("open", "cyclic")).psets
+        open_pset, cyc_pset = psets["open"], psets["cyclic"]
         ident = doubled_identity(open_pset.doubled)
-        interior = open_pset.interior_projector()
-        open_defect = op_norm_1(open_pset.exp_minus @ open_pset.exp_plus - ident)
-        open_interior = op_norm_1(
-            (open_pset.exp_minus @ open_pset.exp_plus - ident) @ interior
-        )
+        open_gap = open_pset.exp_minus @ open_pset.exp_plus - ident
+        open_interior = op_norm_1(open_gap @ open_pset.interior_projector())
         cyc_defect = op_norm_1(cyc_pset.exp_minus @ cyc_pset.exp_plus - ident)
-        rows.append((n_max, open_defect, open_interior, cyc_defect))
-    stream, close = _open_out(cfg)
-    try:
+        rows.append((n_max, op_norm_1(open_gap), open_interior, cyc_defect))
+    with _output(cfg) as stream:
         stream.write("n_max,open_defect,open_defect_interior,cyclic_defect\n")
         for n_max, a, b, c in rows:
             stream.write("%d,%s,%s,%s\n" % (n_max, _fmt(a), _fmt(b), _fmt(c)))
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -270,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=int, dest="n_max", help="shell cutoff (default 8)")
         p.add_argument("--mass", type=float, help="oscillator mass (default 1.0)")
         p.add_argument("--omega", type=float, help="angular frequency (default 1.0)")
-        p.add_argument("--mode", choices=("open", "cyclic"), help="chain closure mode")
         p.add_argument("--out", help="output path (default stdout)")
         if name == "trajectory":
+            p.add_argument("--mode", choices=("open", "cyclic"), help="chain closure mode")
             p.add_argument("--state", help="terms 'n,l,m,sigma : amplitude ; ...'")
             p.add_argument("--t-max", type=float, dest="t_max", help="final time (default 10)")
             p.add_argument("--dt", type=float, help="time step (default 0.01)")
@@ -293,7 +270,10 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         if value is None:
             continue
         if f.name == "n_max_list" and isinstance(value, str):
-            value = _coerce("n_max_list", value)
+            try:
+                value = _coerce("n_max_list", value)
+            except ValueError as exc:
+                raise ConfigError("bad value for --n-max-list: %s" % exc) from exc
         overrides[f.name] = value
     return replace(cfg, **overrides).validate()
 

@@ -23,11 +23,16 @@ asserted before taking roots.
 
 from __future__ import annotations
 
+import copy
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 
-from .fock import OperatorMatrix, OscParams, _hash_key, op_norm_1
-from .spherical import DegenerateSplitFailure, SphericalBasis, to_spherical
+from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, _hash_key, build_basis
+from .fock import cartesian_operators, identity as cart_identity, op_norm_1
+from .spherical import DegenerateSplitFailure, SphericalBasis, build_spherical, to_spherical
 
 NORM_OFFDIAG_TOL = 1e-10
 
@@ -102,8 +107,6 @@ def normalization_bracket(sph: SphericalBasis, params: OscParams, ops) -> np.nda
     Validates that the transformed matrix really is diagonal (relative
     off-diagonal below 1e-10) and strictly positive.
     """
-    from .fock import identity as cart_identity
-
     w = params.omega
     h_shift = ops.h + w * cart_identity(sph.cart)
     bracket = h_shift @ h_shift - (w * w) * (ops.l2 + 0.25 * cart_identity(sph.cart))
@@ -121,26 +124,23 @@ def normalization_bracket(sph: SphericalBasis, params: OscParams, ops) -> np.nda
     return diag
 
 
-def radial_shift_pair(sph: SphericalBasis, params: OscParams, ops=None):
+def radial_shift_pair(sph: SphericalBasis, params: OscParams, norm_diag: np.ndarray, v2: OperatorMatrix):
     """Normalized radial shift S = (1/2M) B^(-1/2) V2 and its adjoint.
 
-    Built chain by chain, so matrix elements between different (l, m)
-    are exact zeros. S|n,l,m> = |n-1,l,m> with coefficient one (up to
-    roundoff) and S|0,l,m> = 0.
+    norm_diag is the diagonal of B from normalization_bracket and v2 the
+    shell-lowering square V2 over the spherical labels. Built chain by
+    chain, so matrix elements between different (l, m) are exact zeros.
+    S|n,l,m> = |n-1,l,m> with coefficient one (up to roundoff) and
+    S|0,l,m> = 0.
     """
-    from .fock import cartesian_operators
-
-    if ops is None:
-        ops = cartesian_operators(sph.cart, params)
-    diag = normalization_bracket(sph, params, ops)
-    v2s = to_spherical(ops.v2, sph).toarray()
+    v2s = v2.toarray()
     rows, cols, vals = [], [], []
     for (l, m), idxs in sph.chains.items():
         for n in range(1, len(idxs)):
             i, j = idxs[n - 1], idxs[n]
             rows.append(i)
             cols.append(j)
-            vals.append(v2s[i, j] / (2.0 * params.mass * np.sqrt(diag[i])))
+            vals.append(v2s[i, j] / (2.0 * params.mass * np.sqrt(norm_diag[i])))
     mat = sparse.coo_matrix((vals, (rows, cols)), shape=(sph.dim, sph.dim))
     down = OperatorMatrix(mat, sph, window=sph.n_max, lo=-2, hi=-2)
     return down, down.adjoint()
@@ -151,31 +151,26 @@ class PhaseOperatorSet:
 
     Fields: down/up (radial shift pair embedded on both copies), sign,
     exchange, exp_plus/exp_minus (the unitary phase exponential and its
-    adjoint), cos2/sin2, and sqrt_norm (B^(1/2) over the single copy).
+    adjoint), cos2/sin2, sqrt_norm (B^(1/2) over the single copy),
+    norm_diag (the diagonal of B) and v2 (V2 over the spherical labels).
+    The constructor builds the open set; cyclic() derives the cyclic one.
     Instances are immutable; share them freely across threads.
     """
 
-    def __init__(self, sph: SphericalBasis, params: OscParams, mode: str, ops=None):
-        if mode not in ("open", "cyclic"):
-            raise ValueError("mode must be 'open' or 'cyclic'")
-        from .fock import cartesian_operators
-
-        if ops is None:
-            ops = cartesian_operators(sph.cart, params)
+    def __init__(self, sph: SphericalBasis, params: OscParams, ops: CartesianOperators):
         self.spherical = sph
         self.params = params
-        self.mode = mode
+        self.mode = "open"
         self.doubled = DoubledBasis(sph)
         d = self.doubled
 
-        s_down, s_up = radial_shift_pair(sph, params, ops)
-        self.down_single, self.up_single = s_down, s_up
-        self.down = d.embed(s_down)
-        self.up = d.embed(s_up)
-        diag = normalization_bracket(sph, params, ops)
-        self.norm_diag = diag
+        self.norm_diag = normalization_bracket(sph, params, ops)
+        self.v2 = to_spherical(ops.v2, sph)
+        self.down_single, self.up_single = radial_shift_pair(sph, params, self.norm_diag, self.v2)
+        self.down = d.embed(self.down_single)
+        self.up = d.embed(self.up_single)
         self.sqrt_norm = OperatorMatrix(
-            sparse.diags(np.sqrt(diag).astype(np.complex128)), sph, sph.n_max, 0, 0
+            sparse.diags(np.sqrt(self.norm_diag).astype(np.complex128)), sph, sph.n_max, 0, 0
         )
         self.sign = sign_operator(d)
         self.exchange = exchange_operator(d)
@@ -183,19 +178,14 @@ class PhaseOperatorSet:
         ident = doubled_identity(d)
         p_plus = 0.5 * (ident + self.sign)
         vac = ident - self.up @ self.down
-        e2 = p_plus @ self.down + (0.5 * (ident - self.sign)) @ self.up + (
-            self.exchange @ vac @ p_plus
-        )
-        if mode == "cyclic":
-            rows, cols = [], []
-            for (l, m), idxs in sph.chains.items():
-                top = idxs[-1]
-                rows.append(top)
-                cols.append(top + d.dim_single)
-            wrap = sparse.coo_matrix(
-                ([1.0] * len(rows), (rows, cols)), shape=(d.dim, d.dim)
+        self._set_exponential(
+            p_plus @ self.down + (0.5 * (ident - self.sign)) @ self.up + (
+                self.exchange @ vac @ p_plus
             )
-            e2 = e2 + OperatorMatrix(wrap, d, window=d.n_max - 2, lo=0, hi=0)
+        )
+
+    def _set_exponential(self, e2: OperatorMatrix) -> None:
+        d = self.doubled
         self.exp_plus = e2
         # The adjoint rule is conservative for this composite; the defect
         # columns of the adjoint sit on the plus-branch chain tops, shells
@@ -203,6 +193,21 @@ class PhaseOperatorSet:
         self.exp_minus = e2.adjoint().with_window(d.n_max - 2, -2, 2)
         self.cos2 = 0.5 * (self.exp_plus + self.exp_minus)
         self.sin2 = (-0.5j) * (self.exp_plus - self.exp_minus)
+
+    def cyclic(self) -> "PhaseOperatorSet":
+        """The cyclic set: this open set with each chain's plus top wrapped onto its minus top.
+
+        Every mode-independent field is shared with this set; only the
+        exponential and its trigonometric pair are new.
+        """
+        if self.mode != "open":
+            raise ValueError("only an open phase set can be closed cyclically")
+        # |top,+><top,-| per chain: the exchange applied to the minus-branch tops
+        wrap = self.exchange @ self.chain_end_projector(-1)
+        cyc = copy.copy(self)
+        cyc.mode = "cyclic"
+        cyc._set_exponential(self.exp_plus + wrap.with_window(self.doubled.n_max - 2, 0, 0))
+        return cyc
 
     # -- projectors ----------------------------------------------------------
 
@@ -260,9 +265,47 @@ class PhaseOperatorSet:
 
 
 def build_phase_operators(
-    sph: SphericalBasis, params: OscParams, mode: str = "open", ops=None
+    sph: SphericalBasis, params: OscParams, mode: str, ops: CartesianOperators
 ) -> PhaseOperatorSet:
-    return PhaseOperatorSet(sph, params, mode, ops)
+    return _phase_sets(sph, params, ops, (mode,))[mode]
+
+
+def _phase_sets(sph, params, ops, modes) -> dict[str, PhaseOperatorSet]:
+    """One phase set per requested mode, all derived from a single open build."""
+    if not set(modes) <= {"open", "cyclic"}:
+        raise ValueError("mode must be 'open' or 'cyclic'")
+    if not modes:
+        return {}
+    open_set = PhaseOperatorSet(sph, params, ops)
+    return {mode: open_set.cyclic() if mode == "cyclic" else open_set for mode in modes}
+
+
+@dataclass(frozen=True)
+class Model:
+    """One truncation built once: Cartesian basis and operators, the
+    spherical basis, and a phase set per requested mode (psets[mode])."""
+
+    basis: Basis3D
+    ops: CartesianOperators
+    sph: SphericalBasis
+    psets: dict[str, PhaseOperatorSet]
+
+    @cached_property
+    def h(self) -> OperatorMatrix:
+        """The Hamiltonian over the spherical labels, transformed on first use."""
+        return to_spherical(self.ops.h, self.sph)
+
+
+def build_model(n_max: int, params: OscParams, modes=()) -> Model:
+    """Build every stage once: basis, operators, spherical basis, phase sets.
+
+    modes lists the edge modes to build phase sets for ("open",
+    "cyclic"); the cyclic set is derived from the open one.
+    """
+    basis = build_basis(n_max)
+    ops = cartesian_operators(basis, params)
+    sph = build_spherical(basis, params, ops)
+    return Model(basis, ops, sph, _phase_sets(sph, params, ops, tuple(modes)))
 
 
 def dyadic_phase_exponential(pset: PhaseOperatorSet) -> sparse.csr_matrix:
@@ -313,7 +356,7 @@ def inverse_shift_residuals(pset: PhaseOperatorSet) -> dict:
     }
 
 
-def reconstruction_residuals(pset: PhaseOperatorSet, ops=None) -> dict:
+def reconstruction_residuals(pset: PhaseOperatorSet) -> dict:
     """Residuals of rebuilding (p -+ i M w r)^2 from the phase operators.
 
     First line: V2 = 2M B^(1/2) (cos + i I sin), prefactor on the left.
@@ -324,14 +367,9 @@ def reconstruction_residuals(pset: PhaseOperatorSet, ops=None) -> dict:
     that variant is reported separately with the vacuum excluded.
     All residuals are relative and restricted to the interior window.
     """
-    from .fock import cartesian_operators
-
-    sph = pset.spherical
     params = pset.params
-    if ops is None:
-        ops = cartesian_operators(sph.cart, params)
     d = pset.doubled
-    v2_d = d.embed(to_spherical(ops.v2, sph))
+    v2_d = d.embed(pset.v2)
     sqrt_b = d.embed(pset.sqrt_norm)
     two_m = 2.0 * params.mass
 

@@ -8,7 +8,8 @@ Operator format (one record per stored entry, CSR order):
 
 Floats are written with 17 significant digits, so writing is
 deterministic and the round trip is exact. The basis key in the header
-must match the basis the operator is loaded onto.
+must match the basis the operator is loaded onto; load_operator reports
+any malformed line as a ValueError naming the file and line number.
 
 The spherical export uses the same triplet lines for the column map U,
 preceded by one `label <pos> <n> <l> <m>` line per basis state.
@@ -41,27 +42,41 @@ def save_operator(path, op: OperatorMatrix) -> None:
 
 
 def load_operator(path, basis) -> OperatorMatrix:
+    """Read an operator written by save_operator onto basis.
+
+    Every error is a ValueError whose message starts `<path>:<line>:`.
+    """
     with open(path, "r", encoding="ascii") as fh:
         magic = fh.readline().strip()
         if magic != "# oscphase operator v1":
-            raise ValueError(f"unrecognized header {magic!r}")
-        meta = dict(
-            item.split("=", 1) for item in fh.readline().strip().lstrip("# ").split()
-        )
-        if meta["basis"] != basis.key:
-            raise ValueError(
-                f"operator was saved for basis {meta['basis']}, not {basis.key}"
-            )
-        if int(meta["dim"]) != basis.dim:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"{path}:1: unrecognized header {magic!r}")
+        header = fh.readline().strip()
+        try:
+            meta = dict(item.split("=", 1) for item in header.lstrip("# ").split())
+            key = meta["basis"]
+            dim, window, lo, hi, nnz = (int(meta[k]) for k in ("dim", "window", "lo", "hi", "nnz"))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}:2: malformed header {header!r}") from exc
+        if key != basis.key:
+            raise ValueError(f"{path}:2: operator was saved for basis {key}, not {basis.key}")
+        if dim != basis.dim:
+            raise ValueError(f"{path}:2: dimension {dim} does not match basis dim {basis.dim}")
         rows, cols, vals = [], [], []
-        for line in fh:
-            r, c, re, im = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(float(re), float(im)))
-    m = sparse.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
-    return OperatorMatrix(m, basis, int(meta["window"]), int(meta["lo"]), int(meta["hi"]))
+        for lineno, line in enumerate(fh, start=3):
+            try:
+                r, c, re, im = line.split()
+                r, c, v = int(r), int(c), complex(float(re), float(im))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: expected 'row col re im', got {line.rstrip()!r}") from exc
+            if not (0 <= r < dim and 0 <= c < dim):
+                raise ValueError(f"{path}:{lineno}: index ({r}, {c}) outside dimension {dim}")
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+    if len(rows) != nnz:
+        raise ValueError(f"{path}:2: header declares nnz={nnz} but {len(rows)} records follow")
+    m = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    return OperatorMatrix(m, basis, window, lo, hi)
 
 
 def export_spherical(path, sph) -> None:

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    Basis3D,
-    CartesianOperators,
-    OperatorMatrix,
-    OscParams,
-    _hash_key,
-    cartesian_operators,
-)
+from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, _hash_key
 
 CLUSTER_TOL = 1e-8
 EIGEN_RESIDUAL_TOL = 1e-10
@@ -56,6 +49,10 @@ class SphericalBasis:
     Column i of U is the Cartesian coefficient vector of labels[i]. Labels
     are ordered graded-lexicographically by (shell, l, m). chains maps each
     (l, m) to the label positions ordered by increasing n.
+
+    build_spherical records the construction's own checks on the basis:
+    unitary_defect is max |U+ U - 1| and eigen_residual the largest
+    eigenvector residual of H, L^2 and L_z over the columns of U.
     """
 
     def __init__(self, cart: Basis3D, labels, U: np.ndarray):
@@ -98,17 +95,13 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * np.conj(phase)
 
 
-def build_spherical(
-    basis: Basis3D, params: OscParams, ops: CartesianOperators | None = None
-) -> SphericalBasis:
+def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) -> SphericalBasis:
     """Diagonalize (H, L^2, L_z) and assemble the chain-phased label map.
 
     Raises DegenerateSplitFailure when an eigenvalue fails to sit within
     1e-8 of an admissible integer pattern, or when a finished column fails
     its eigenvector residual check at 1e-10.
     """
-    if ops is None:
-        ops = cartesian_operators(basis, params)
     l2 = ops.l2.matrix
     lz = ops.l["z"].matrix
 
@@ -171,22 +164,26 @@ def build_spherical(
     labels = sorted(columns, key=lambda lab: (lab.shell, lab.l, lab.m))
     U = np.column_stack([columns[lab] for lab in labels])
     sph = SphericalBasis(basis, labels, U)
-    _validate(sph, ops, params)
+    sph.unitary_defect, sph.eigen_residual = _validate(sph, ops, params)
     return sph
 
 
 def _validate(sph: SphericalBasis, ops: CartesianOperators, params: OscParams):
+    """Return (unitary defect, eigenvector residual) of U; raise when either is too large."""
     gram = sph.U.conj().T @ sph.U
-    ortho = np.abs(gram - np.eye(sph.dim)).max()
+    ortho = float(np.abs(gram - np.eye(sph.dim)).max())
     if ortho > 1e-12:
         raise DegenerateSplitFailure(f"column map is not unitary (defect {ortho:.3e})")
     energies = params.omega * (sph.shells + 1.5)
     lsq = np.array([lab.l * (lab.l + 1) for lab in sph.labels], dtype=float)
     mvals = np.array([lab.m for lab in sph.labels], dtype=float)
+    resids = []
     for op, want in ((ops.h, energies), (ops.l2, lsq), (ops.l["z"], mvals)):
-        resid = np.abs(op.matrix @ sph.U - sph.U * want[None, :]).max()
+        resid = float(np.abs(op.matrix @ sph.U - sph.U * want[None, :]).max())
         if resid > EIGEN_RESIDUAL_TOL:
             raise DegenerateSplitFailure(f"eigenvector residual {resid:.3e} exceeds tolerance")
+        resids.append(resid)
+    return ortho, max(resids)
 
 
 def to_spherical(op: OperatorMatrix, sph: SphericalBasis) -> OperatorMatrix:

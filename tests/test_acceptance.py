@@ -99,7 +99,9 @@ def test_criterion_03_shift_action_and_isometry():
     basis = build_basis(8)
     ops = cartesian_operators(basis, params)
     sph = build_spherical(basis, params, ops)
-    down, up = radial_shift_pair(sph, params, ops)
+    down, up = radial_shift_pair(
+        sph, params, normalization_bracket(sph, params, ops), to_spherical(ops.v2, sph)
+    )
     dense = down.toarray()
     coeff_err = 0.0
     vacuum_norm = 0.0
@@ -189,7 +191,7 @@ def test_criterion_06_reconstruction_at_12():
     worst = 0.0
     for mode in ("open", "cyclic"):
         pset = build_phase_operators(sph, params, mode, ops)
-        res = reconstruction_residuals(pset, ops)
+        res = reconstruction_residuals(pset)
         worst = max(worst, res["lowering"], res["raising"])
         inv = inverse_shift_residuals(pset)
         worst = max(worst, inv["down"], inv["up"])

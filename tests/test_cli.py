@@ -204,5 +204,26 @@ def test_unitarity_scan(capsys):
 
 
 def test_verify_cyclic_flag(capsys):
-    assert run_cli(["verify", "--n-max", "2", "--mode", "cyclic"]) == 0
-    capsys.readouterr()
+    # verify always checks both modes, so it takes no --mode flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--n-max", "2", "--mode", "cyclic"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "--dt", "nan"],
+        ["trajectory", "--t-max", "inf"],
+        ["trajectory", "--mass", "nan"],
+        ["verify", "--omega", "inf"],
+        ["unitarity-scan", "--n-max-list", "2,x"],
+        ["unitarity-scan", "--n-max-list", "2,-1"],
+    ],
+)
+def test_bad_numbers_exit_two(argv, capsys, monkeypatch):
+    # rejected while the configuration is validated, before any build
+    monkeypatch.setattr(cli, "build_model", None, raising=False)
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

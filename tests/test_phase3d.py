@@ -19,6 +19,7 @@ from oscphase import (
     op_norm_1,
     radial_shift_pair,
     reconstruction_residuals,
+    to_spherical,
 )
 
 
@@ -48,7 +49,9 @@ def test_normalization_bracket_guards(basis6, params, ops6, sph6):
 
 
 def test_radial_shift_unit_coefficient(sph6, params, ops6):
-    down, up = radial_shift_pair(sph6, params, ops6)
+    down, up = radial_shift_pair(
+        sph6, params, normalization_bracket(sph6, params, ops6), to_spherical(ops6.v2, sph6)
+    )
     dense = down.toarray()
     for (l, m), idxs in sph6.chains.items():
         assert np.abs(dense[:, idxs[0]]).max() < 1e-14  # chain bottom dies
@@ -114,8 +117,8 @@ def test_cos_vacuum_link_is_half(pset6_open):
     assert abs(cos[d.index(lab, +1), d.index(lab, -1)] - 0.5) < 1e-14
 
 
-def test_reconstruction_residuals_small(pset6_open, ops6):
-    res = reconstruction_residuals(pset6_open, ops6)
+def test_reconstruction_residuals_small(pset6_open):
+    res = reconstruction_residuals(pset6_open)
     assert res["lowering"] < 1e-10
     assert res["raising"] < 1e-10
     assert res["raising_sign_left_no_vacuum"] < 1e-10
@@ -190,17 +193,77 @@ def test_smallest_space_open_mode():
     # n_max = 0: one chain of depth one; E is exactly the vacuum link
     params = OscParams()
     basis = build_basis(0)
-    sph = build_spherical(basis, params)
-    pset = build_phase_operators(sph, params, "open")
+    ops = cartesian_operators(basis, params)
+    sph = build_spherical(basis, params, ops)
+    pset = build_phase_operators(sph, params, "open", ops)
     e2 = pset.exp_plus.toarray()
     expect = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert np.abs(e2 - expect).max() == 0.0
     assert pset.down_single.nnz == 0
-    cyc = build_phase_operators(sph, params, "cyclic")
+    cyc = build_phase_operators(sph, params, "cyclic", ops)
     dense = cyc.exp_plus.toarray()
     assert np.abs(dense - np.array([[0.0, 1.0], [1.0, 0.0]])).max() == 0.0
 
 
-def test_mode_validation(sph6, params):
+def test_mode_validation(sph6, params, ops6):
     with pytest.raises(ValueError):
-        build_phase_operators(sph6, params, "sideways")
+        build_phase_operators(sph6, params, "sideways", ops6)
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Counts of to_spherical and normalization_bracket calls made through the package."""
+    import oscphase.checks
+    import oscphase.phase3d
+
+    calls = {"to_spherical": 0, "normalization_bracket": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (oscphase.checks, oscphase.phase3d):
+        monkeypatch.setattr(module, "to_spherical", counting("to_spherical", to_spherical))
+    monkeypatch.setattr(
+        oscphase.phase3d, "normalization_bracket", counting("normalization_bracket", normalization_bracket)
+    )
+    return calls
+
+
+def test_each_build_stage_runs_once(build_calls, params, tmp_path):
+    from oscphase import run_all_checks
+    from oscphase.cli import main
+
+    run_all_checks(6)
+    assert build_calls == {"to_spherical": 3, "normalization_bracket": 1}
+    basis = build_basis(6)
+    ops = cartesian_operators(basis, params)
+    sph = build_spherical(basis, params, ops)
+    build_calls.update(to_spherical=0, normalization_bracket=0)
+    build_phase_operators(sph, params, "cyclic", ops)
+    assert build_calls == {"to_spherical": 2, "normalization_bracket": 1}
+    # the CLI builds one model per size: trajectory one mode, the scan both
+    out = str(tmp_path / "out")
+    for argv, sizes in (
+        (["trajectory", "--n-max", "4", "--t-max", "0.1", "--mode", "cyclic"], 1),
+        (["unitarity-scan", "--n-max-list", "0,2,4"], 3),
+    ):
+        build_calls.update(to_spherical=0, normalization_bracket=0)
+        assert main(argv + ["--out", out]) == 0
+        assert build_calls == {"to_spherical": 2 * sizes, "normalization_bracket": sizes}
+
+
+def test_cyclic_set_shares_the_open_build(params):
+    from oscphase import build_model
+
+    model = build_model(4, params, ("open", "cyclic"))
+    opn, cyc = model.psets["open"], model.psets["cyclic"]
+    assert (opn.mode, cyc.mode) == ("open", "cyclic")
+    for field in ("doubled", "down", "up", "norm_diag", "sqrt_norm", "sign", "exchange", "v2"):
+        assert getattr(cyc, field) is getattr(opn, field)
+    assert cyc.exp_plus is not opn.exp_plus
+    with pytest.raises(ValueError):
+        cyc.cyclic()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ def test_round_trip(tmp_path, basis6, ops6):
     assert np.abs((back.matrix - ops6.v2.matrix)).max() < 1e-16
     assert back.window == ops6.v2.window
     assert (back.lo, back.hi) == (ops6.v2.lo, ops6.v2.hi)
+    again = tmp_path / "again.op"
+    save_operator(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_basis_mismatch_rejected(tmp_path, ops6):
@@ -47,3 +52,24 @@ def test_export_spherical(tmp_path, sph6):
     label_lines = [ln for ln in lines if ln.startswith("label ")]
     assert len(label_lines) == sph6.dim
     assert label_lines[0] == "label 0 0 0 0"
+
+
+
+# each edit of a saved file, and the line its error must name
+MALFORMED = {
+    "header_key_missing": (lambda ls: [ls[0], ls[1].replace(" window=", " wndw="), *ls[2:]], 2),
+    "header_item_without_value": (lambda ls: [ls[0], ls[1] + " junk", *ls[2:]], 2),
+    "short_record": (lambda ls: [*ls[:3], ls[3].rsplit(" ", 1)[0], *ls[4:]], 4),
+    "index_out_of_range": (lambda ls: [*ls[:4], "0 9999 1 0", *ls[5:]], 5),
+    "nnz_mismatch": (lambda ls: ls[:-1], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_names_file_and_line(tmp_path, basis6, ops6, case):
+    edit, line = MALFORMED[case]
+    path = tmp_path / "h.op"
+    save_operator(path, ops6.h)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match="^%s:%d: " % (re.escape(str(path)), line)):
+        load_operator(path, basis6)

@@ -105,6 +105,7 @@ def test_degenerate_split_failure_on_perturbed_operator(basis6, params, ops6):
 def test_n_max_zero_and_one():
     for n_max in (0, 1):
         basis = build_basis(n_max)
-        sph = build_spherical(basis, OscParams())
+        params = OscParams()
+        sph = build_spherical(basis, params, cartesian_operators(basis, params))
         assert sph.dim == basis.dim
         assert all(lab.n == 0 for lab in sph.labels)

@@ -32,6 +32,12 @@ DEFAULT_STATE = "0,0,0,+ : 0.7071067811865476 ; 1,0,0,+ : 0.7071067811865476"
 CSV_HEADER = "t,re_exp_plus,im_exp_plus,abs_exp_plus,phi_unwound,tau,j,sigma,branch"
 CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s,%s\n"
 CSV_CHUNK_ROWS = 4096  # rows per write: bounds the memory of the formatted text
+# Largest trajectory grid, t_max/dt + 1 rows. The columnar trajectory and
+# its temporaries take about 75 bytes per row, so this is under 1 GB.
+MAX_TRAJECTORY_ROWS = 10_000_000
+# Config keys that only some subcommands read; the others reject them, as
+# their parsers reject the matching flags.
+COMMAND_KEYS = {"mode": ("trajectory",)}
 
 
 class ConfigError(Exception):
@@ -77,7 +83,8 @@ def _coerce(name: str, text: str):
     raise KeyError(name)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, command: str | None = None) -> RunConfig:
+    """Read a config file; with a command, reject keys that command does not read."""
     valid = {f.name for f in fields(RunConfig)}
     overrides = {}
     try:
@@ -95,6 +102,10 @@ def load_config(path: str) -> RunConfig:
         key = key.strip().replace("-", "_")
         if key not in valid:
             raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
+        if command is not None and key in COMMAND_KEYS and command not in COMMAND_KEYS[key]:
+            raise ConfigError(
+                "%s:%d: key %r applies only to %s" % (path, lineno, key, ", ".join(COMMAND_KEYS[key]))
+            )
         try:
             overrides[key] = _coerce(key, value)
         except (ValueError, KeyError) as exc:
@@ -172,6 +183,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_trajectory(cfg: RunConfig) -> int:
+    n_steps = cfg.t_max / cfg.dt  # overflows to inf for e.g. 1e308 / 1e-300
+    if not math.isfinite(n_steps) or round(n_steps) + 1 > MAX_TRAJECTORY_ROWS:
+        raise ConfigError(
+            "t_max/dt + 1 = %.17g trajectory rows exceeds the limit of %d" % (n_steps + 1, MAX_TRAJECTORY_ROWS)
+        )
     params = OscParams(cfg.mass, cfg.omega)
     spec = parse_state(cfg.state if cfg.state is not None else DEFAULT_STATE)
     for (label, lam, amp) in spec.terms:
@@ -180,8 +196,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
                 "state label (%d,%d,%d) needs 2n+l <= n_max=%d" % (label.n, label.l, label.m, cfg.n_max)
             )
     pset = build_model(cfg.n_max, params, (cfg.mode,)).psets[cfg.mode]
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    times = np.arange(n_steps + 1) * cfg.dt
+    times = np.arange(int(round(n_steps)) + 1) * cfg.dt
     try:
         traj = phase_trajectory(spec, times, params, pset)
     except ValueError as exc:
@@ -263,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = load_config(args.config, args.command) if args.config else RunConfig()
     overrides = {}
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)

@@ -110,10 +110,10 @@ def normalization_bracket(sph: SphericalBasis, params: OscParams, ops) -> np.nda
     w = params.omega
     h_shift = ops.h + w * cart_identity(sph.cart)
     bracket = h_shift @ h_shift - (w * w) * (ops.l2 + 0.25 * cart_identity(sph.cart))
-    b_sph = to_spherical(bracket, sph)
-    dense = b_sph.toarray()
-    diag = np.real(np.diag(dense)).copy()
-    off = dense - np.diag(np.diag(dense))
+    b_sph = to_spherical(bracket, sph).matrix
+    on_diag = b_sph.diagonal()
+    diag = np.real(on_diag)
+    off = b_sph - sparse.diags(on_diag)
     scale = max(np.abs(diag).max(), 1.0)
     if op_norm_1(off) > NORM_OFFDIAG_TOL * scale:
         raise DegenerateSplitFailure("normalization bracket is not diagonal in this basis")
@@ -133,14 +133,10 @@ def radial_shift_pair(sph: SphericalBasis, params: OscParams, norm_diag: np.ndar
     S|n,l,m> = |n-1,l,m> with coefficient one (up to roundoff) and
     S|0,l,m> = 0.
     """
-    v2s = v2.toarray()
-    rows, cols, vals = [], [], []
-    for (l, m), idxs in sph.chains.items():
-        for n in range(1, len(idxs)):
-            i, j = idxs[n - 1], idxs[n]
-            rows.append(i)
-            cols.append(j)
-            vals.append(v2s[i, j] / (2.0 * params.mass * np.sqrt(norm_diag[i])))
+    links = [(idxs[n - 1], idxs[n]) for idxs in sph.chains.values() for n in range(1, len(idxs))]
+    rows, cols = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    elements = np.asarray(v2.matrix[rows, cols]).ravel() if links else np.zeros(0)
+    vals = elements / (2.0 * params.mass * np.sqrt(norm_diag[rows]))
     mat = sparse.coo_matrix((vals, (rows, cols)), shape=(sph.dim, sph.dim))
     down = OperatorMatrix(mat, sph, window=sph.n_max, lo=-2, hi=-2)
     return down, down.adjoint()
@@ -244,24 +240,66 @@ class PhaseOperatorSet:
 
     # -- explicit phase (cyclic only) ----------------------------------------
 
-    def hermitian_phase(self) -> np.ndarray:
-        """Hermitian phase matrix with exp(2i phase) equal to the exponential.
+    def hermitian_phase(self) -> OperatorMatrix:
+        """Hermitian phase Phi with exp(2i Phi) equal to the exponential.
 
         Only the cyclic closure makes the exponential unitary, so only
-        there does a Hermitian phase exist. Eigenphases take the branch
-        arg in (-pi, pi].
+        there does a Hermitian phase exist. Per (l, m) the cyclic E steps
+        the cycle top+ -> ... -> 0+ -> 0- -> ... -> top- -> top+ of
+        length L, with the L-th roots of unity as eigenvalues (the
+        Pegg-Barnett construction), so Phi is a sum of L x L circulants
+        and couples no two cycles. Eigenphases take the branch
+        (-pi/2, pi/2]; the -1 eigenvalue, present on every cycle, maps to
+        +pi/2. Phi depends on the truncation through every L, so no shell
+        is certified (window -1).
         """
         if self.mode != "cyclic":
             raise ValueError("a Hermitian phase exists only in cyclic mode")
-        from scipy.linalg import schur
+        d = self.doubled
+        circulants: dict[int, np.ndarray] = {}
+        rows, cols, vals = [], [], []
+        for l, m in self.spherical.chains:
+            plus, minus = d.chain(l, m)
+            cycle = np.array(plus[::-1] + minus)
+            length = len(cycle)
+            if length not in circulants:
+                circulants[length] = _cycle_phase(length)
+            rows.append(np.repeat(cycle, length))
+            cols.append(np.tile(cycle, length))
+            vals.append(circulants[length].ravel())
+        mat = sparse.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d.dim, d.dim)
+        )
+        return OperatorMatrix(mat, d, -1, -d.n_max, d.n_max)
 
-        t, q = schur(self.exp_plus.toarray(), output="complex")
-        half_args = 0.5 * np.angle(np.diag(t))
-        return (q * half_args[None, :]) @ q.conj().T
-
-    def time_operator(self) -> np.ndarray:
+    def time_operator(self) -> OperatorMatrix:
         """T = -phase / w, cyclic mode only."""
-        return -self.hermitian_phase() / self.params.omega
+        phase = self.hermitian_phase()
+        m = phase.matrix.copy()
+        m.data = -m.data / self.params.omega
+        return OperatorMatrix(m, phase.basis, phase.window, phase.lo, phase.hi)
+
+
+def _cycle_phase(length: int) -> np.ndarray:
+    """The Hermitian phase on one cycle of even length L, as an L x L circulant.
+
+    With the cycle's states c_0..c_{L-1} in the order E steps them,
+    Phi[c_j, c_k] = f[(j - k) mod L], where
+        f[s] = sum_p phi_p exp(2 pi i p s / L) / L,  phi_p = -pi p / L folded into (-pi/2, pi/2],
+             = pi/(2L) (-1)^s - (2 pi i / L^2) sum_{0<p<L/2} p sin(2 pi p s / L).
+    The imaginary part is filled in for 0 < s < L/2 and mirrored with
+    opposite sign, so Phi is exactly Hermitian.
+    """
+    half = length // 2
+    p = np.arange(1, half)
+    turns = np.outer(p, p) % length  # reduced so every sine argument lies in [0, 2 pi)
+    part = (-2.0 * np.pi / length**2) * (np.sin((2.0 * np.pi / length) * turns) * p).sum(axis=1)
+    imag = np.zeros(length)
+    imag[1:half] = part
+    imag[half + 1 :] = -part[::-1]
+    f = (np.pi / (2.0 * length)) * (-1.0) ** np.arange(length) + 1j * imag
+    j = np.arange(length)
+    return f[np.subtract.outer(j, j) % length]
 
 
 def build_phase_operators(

@@ -80,8 +80,8 @@ def load_operator(path, basis) -> OperatorMatrix:
 
 
 def export_spherical(path, sph) -> None:
-    """Write the label table and the column map U of a spherical basis."""
-    u = sparse.coo_matrix(sph.U)
+    """Write the label table and the nonzero entries of the column map U."""
+    u = sph.column_map().tocoo()
     order = np.lexsort((u.col, u.row))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# oscphase spherical basis v1\n")

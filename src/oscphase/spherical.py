@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, _hash_key
 
@@ -50,17 +51,23 @@ class SphericalBasis:
     are ordered graded-lexicographically by (shell, l, m). chains maps each
     (l, m) to the label positions ordered by increasing n.
 
+    Both bases are graded by shell with equal shell sizes, so U is block
+    diagonal: blocks[N] is the square block U_N on shell_slices[N], which
+    indexes the shell's Cartesian states and its labels alike. No dense
+    dim x dim U is stored; column_map() assembles the sparse one.
+
     build_spherical records the construction's own checks on the basis:
     unitary_defect is max |U+ U - 1| and eigen_residual the largest
     eigenvector residual of H, L^2 and L_z over the columns of U.
     """
 
-    def __init__(self, cart: Basis3D, labels, U: np.ndarray):
+    def __init__(self, cart: Basis3D, labels, blocks):
         self.cart = cart
         self.labels = list(labels)
-        self.U = U
+        self.blocks = tuple(blocks)
         self.dim = len(self.labels)
         self.n_max = cart.n_max
+        self.shell_slices = _shell_slices(cart)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.shells = np.array([lab.shell for lab in self.labels], dtype=np.int64)
         chains: dict[tuple[int, int], list[int]] = {}
@@ -73,8 +80,31 @@ class SphericalBasis:
             f"spherical/v1/{cart.key}/" + ",".join(f"{la.n}:{la.l}:{la.m}" for la in self.labels)
         )
 
+    def column_map(self) -> sparse.csr_matrix:
+        """U as a sparse matrix holding the nonzero entries of its shell blocks."""
+        return _assemble(((u, sl, sl) for u, sl in zip(self.blocks, self.shell_slices)), self.dim)
+
     def __repr__(self):
         return f"SphericalBasis(n_max={self.n_max}, dim={self.dim})"
+
+
+def _shell_slices(basis: Basis3D) -> list[slice]:
+    """The contiguous index range of each shell N = 0..n_max of a shell-graded basis."""
+    bounds = np.searchsorted(basis.shells, np.arange(basis.n_max + 2))
+    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _assemble(blocks, dim: int) -> sparse.csr_matrix:
+    """A dim x dim matrix from (dense block, row slice, column slice) triples,
+    storing each block's nonzero entries."""
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.complex128)]
+    for block, rs, cs in blocks:
+        r, c = np.nonzero(block)
+        rows.append(r + rs.start)
+        cols.append(c + cs.start)
+        vals.append(block[r, c])
+    coords = (np.concatenate(rows), np.concatenate(cols))
+    return sparse.csr_matrix((np.concatenate(vals), coords), shape=(dim, dim))
 
 
 def _admissible_l(shell: int):
@@ -98,17 +128,20 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) -> SphericalBasis:
     """Diagonalize (H, L^2, L_z) and assemble the chain-phased label map.
 
+    Every column lives on its own shell, so each is built and stored as a
+    vector over that shell's Cartesian states only.
+
     Raises DegenerateSplitFailure when an eigenvalue fails to sit within
     1e-8 of an admissible integer pattern, or when a finished column fails
     its eigenvector residual check at 1e-10.
     """
     l2 = ops.l2.matrix
     lz = ops.l["z"].matrix
+    slices = _shell_slices(basis)
 
     seeds: dict[tuple[int, int], np.ndarray] = {}
-    for shell in range(basis.n_max + 1):
-        sel = np.nonzero(basis.shells == shell)[0]
-        block = l2[np.ix_(sel, sel)].toarray()
+    for shell, sel in enumerate(slices):
+        block = l2[sel, sel].toarray()
         evals, evecs = np.linalg.eigh(block)
         allowed = _admissible_l(shell)
         groups: dict[int, list[np.ndarray]] = {}
@@ -130,7 +163,7 @@ def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) 
         if shell not in groups:
             raise DegenerateSplitFailure(f"shell {shell}: missing l={shell} sector")
         w = np.column_stack(groups[shell])
-        lz_sub = w.conj().T @ lz[np.ix_(sel, sel)].toarray() @ w
+        lz_sub = w.conj().T @ lz[sel, sel].toarray() @ w
         mvals, mvecs = np.linalg.eigh(lz_sub)
         seen = []
         for mv, col in zip(mvals, mvecs.T):
@@ -140,21 +173,28 @@ def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) 
                     f"shell {shell}: L_z eigenvalue {mv!r} is not an admissible integer"
                 )
             seen.append(m)
-            full = np.zeros(basis.dim, dtype=np.complex128)
-            full[sel] = w @ col
-            seeds[(shell, m)] = _fix_phase(full)
+            seeds[(shell, m)] = _fix_phase(w @ col)
         if sorted(seen) != list(range(-shell, shell + 1)):
             raise DegenerateSplitFailure(f"shell {shell}: m values {sorted(seen)} incomplete")
 
     v2dag = ops.v2.adjoint().matrix
+    # V2+ restricted to shell N -> N + 2, the only block the raising step uses
+    raise_blocks = [v2dag[slices[n + 2], slices[n]] for n in range(basis.n_max - 1)]
+    # BLAS sums a vector in an order set by its length and alignment, so each
+    # norm is taken over the column zero-padded to full length: the entries
+    # of U then do not depend on how its columns are stored.
+    padded = np.zeros(basis.dim, dtype=np.complex128)
     columns: dict[SphericalLabel, np.ndarray] = {}
     for (l, m), vec in seeds.items():
         columns[SphericalLabel(0, l, m)] = vec
         prev = vec
         n = 1
         while 2 * n + l <= basis.n_max:
-            raised = v2dag @ prev
-            norm = np.linalg.norm(raised)
+            shell = 2 * n + l
+            raised = raise_blocks[shell - 2] @ prev
+            padded[slices[shell]] = raised
+            norm = np.linalg.norm(padded)
+            padded[slices[shell]] = 0.0
             if norm <= 0.0:
                 raise DegenerateSplitFailure(f"chain (l={l}, m={m}) dies at n={n}")
             prev = raised / norm
@@ -162,16 +202,19 @@ def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) 
             n += 1
 
     labels = sorted(columns, key=lambda lab: (lab.shell, lab.l, lab.m))
-    U = np.column_stack([columns[lab] for lab in labels])
-    sph = SphericalBasis(basis, labels, U)
+    blocks = [np.column_stack([columns[lab] for lab in labels[sel]]) for sel in slices]
+    sph = SphericalBasis(basis, labels, blocks)
     sph.unitary_defect, sph.eigen_residual = _validate(sph, ops, params)
     return sph
 
 
 def _validate(sph: SphericalBasis, ops: CartesianOperators, params: OscParams):
-    """Return (unitary defect, eigenvector residual) of U; raise when either is too large."""
-    gram = sph.U.conj().T @ sph.U
-    ortho = float(np.abs(gram - np.eye(sph.dim)).max())
+    """Return (unitary defect, eigenvector residual) of U; raise when either is too large.
+
+    Both are measured shell block by shell block: U_N+ U_N against the
+    identity, and each operator applied to the columns of U_N over every row.
+    """
+    ortho = max(float(np.abs(u.conj().T @ u - np.eye(len(u))).max()) for u in sph.blocks)
     if ortho > 1e-12:
         raise DegenerateSplitFailure(f"column map is not unitary (defect {ortho:.3e})")
     energies = params.omega * (sph.shells + 1.5)
@@ -179,7 +222,11 @@ def _validate(sph: SphericalBasis, ops: CartesianOperators, params: OscParams):
     mvals = np.array([lab.m for lab in sph.labels], dtype=float)
     resids = []
     for op, want in ((ops.h, energies), (ops.l2, lsq), (ops.l["z"], mvals)):
-        resid = float(np.abs(op.matrix @ sph.U - sph.U * want[None, :]).max())
+        resid = 0.0
+        for u, sel in zip(sph.blocks, sph.shell_slices):
+            image = op.matrix[:, sel] @ u
+            image[sel] -= u * want[None, sel]
+            resid = max(resid, float(np.abs(image).max()))
         if resid > EIGEN_RESIDUAL_TOL:
             raise DegenerateSplitFailure(f"eigenvector residual {resid:.3e} exceeds tolerance")
         resids.append(resid)
@@ -189,11 +236,22 @@ def _validate(sph: SphericalBasis, ops: CartesianOperators, params: OscParams):
 def to_spherical(op: OperatorMatrix, sph: SphericalBasis) -> OperatorMatrix:
     """Return U† A U as an operator over the spherical labels.
 
+    Formed block by block as U_N† A_NN' U_N' over the shell pairs (N, N')
+    where A has stored entries; every other block of the product is zero.
     The column map permutes within shells only, so the validity window and
     displacement bounds carry over unchanged.
     """
-    m = sph.U.conj().T @ (op.matrix @ sph.U)
-    return OperatorMatrix(m, sph, window=op.window, lo=op.lo, hi=op.hi)
+    a = op.matrix
+    coo = a.tocoo()
+    width = sph.n_max + 1
+    shells = sph.cart.shells
+    pairs = np.unique(shells[coo.row] * width + shells[coo.col]).tolist()
+    blocks = []
+    for pair in pairs:
+        n, k = divmod(pair, width)
+        rs, cs = sph.shell_slices[n], sph.shell_slices[k]
+        blocks.append((sph.blocks[n].conj().T @ (a[rs, cs] @ sph.blocks[k]), rs, cs))
+    return OperatorMatrix(_assemble(blocks, sph.dim), sph, window=op.window, lo=op.lo, hi=op.hi)
 
 
 def degeneracy_table(sph: SphericalBasis):

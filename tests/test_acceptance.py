@@ -53,9 +53,10 @@ def test_criterion_01_spectrum_and_degeneracy():
         ok &= lvals == list(range(shell % 2, shell + 1, 2))
         ok &= e_over_w == shell + 1.5
     energies = params.omega * (sph.shells + 1.5)
-    worst = float(np.abs(ops.h.matrix @ sph.U - sph.U * energies[None, :]).max())
+    u = sph.column_map().toarray()
+    worst = float(np.abs(ops.h.matrix @ u - u * energies[None, :]).max())
     lsq = np.array([lab.l * (lab.l + 1) for lab in sph.labels], dtype=float)
-    worst = max(worst, float(np.abs(ops.l2.matrix @ sph.U - sph.U * lsq[None, :]).max()))
+    worst = max(worst, float(np.abs(ops.l2.matrix @ u - u * lsq[None, :]).max()))
     ok &= worst <= 1e-10
     _gate("criterion-01 spectrum", ok, f"eigen residual {worst:.3e} <= 1e-10, table exact")
 

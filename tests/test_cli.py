@@ -158,7 +158,8 @@ def test_config_file_and_precedence(tmp_path, capsys):
     assert loaded.n_max == 3
     assert loaded.omega == 2.0
     assert loaded.mode == "cyclic"
-    # the flag wins over the file
+    # the flag wins over the file; spectrum reads no mode key
+    cfg.write_text("n_max = 3\nomega = 2.0  # rad/s\n")
     assert run_cli(["spectrum", "--config", str(cfg), "--n-max", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2
@@ -173,6 +174,20 @@ def test_config_errors_exit_two(tmp_path, capsys):
     bad.write_text("just some words\n")
     assert run_cli(["verify", "--config", str(bad)]) == 2
     assert run_cli(["verify", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_config_mode_key_only_for_trajectory(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_max = 1\nmode = cyclic\n")
+    for command in ("verify", "spectrum", "unitarity-scan"):
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        assert "run.cfg:2: key 'mode' applies only to trajectory" in capsys.readouterr().err
+    modes = []
+    build = cli.build_model
+    monkeypatch.setattr(cli, "build_model", lambda n_max, params, m: modes.append(m) or build(n_max, params, m))
+    cfg.write_text("n_max = 4\nmode = cyclic\nt_max = 0.1\n")
+    assert run_cli(["trajectory", "--config", str(cfg)]) == 0
+    assert modes == [("cyclic",)]
 
 
 def test_config_validation():
@@ -220,10 +235,12 @@ def test_verify_cyclic_flag(capsys):
         ["verify", "--omega", "inf"],
         ["unitarity-scan", "--n-max-list", "2,x"],
         ["unitarity-scan", "--n-max-list", "2,-1"],
+        ["trajectory", "--dt", "1e-300"],
+        ["trajectory", "--t-max", "1e308", "--dt", "1e-300"],
     ],
 )
 def test_bad_numbers_exit_two(argv, capsys, monkeypatch):
-    # rejected while the configuration is validated, before any build
+    # rejected before any build
     monkeypatch.setattr(cli, "build_model", None, raising=False)
     assert run_cli(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")

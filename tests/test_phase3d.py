@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space, schur
 
 from oscphase import (
     DegenerateSplitFailure,
@@ -176,12 +176,49 @@ def test_hermitian_phase_round_trip():
     ops = cartesian_operators(basis, params)
     sph = build_spherical(basis, params, ops)
     pset = build_phase_operators(sph, params, "cyclic", ops)
-    phase = pset.hermitian_phase()
+    phase = pset.hermitian_phase().toarray()
     assert np.abs(phase - phase.conj().T).max() < 1e-12
     rebuilt = expm(2j * phase)
     assert np.abs(rebuilt - pset.exp_plus.toarray()).max() < 1e-10
-    t_op = pset.time_operator()
+    t_op = pset.time_operator().toarray()
     assert np.abs(t_op + phase / params.omega).max() == 0.0
+
+
+def _schur_phase(e):
+    """Reference phase from a dense complex Schur form; arbitrary on the -1 eigenspace."""
+    t, q = schur(e, output="complex")
+    return (q * (0.5 * np.angle(np.diag(t)))[None, :]) @ q.conj().T
+
+
+def test_hermitian_phase_per_cycle(pset6_cyclic):
+    pset = pset6_cyclic
+    phase = pset.hermitian_phase().toarray()
+    e = pset.exp_plus.toarray()
+    assert np.abs(phase - phase.conj().T).max() == 0.0
+    evals, evecs = np.linalg.eigh(phase)
+    assert np.abs((evecs * np.exp(2j * evals)) @ evecs.conj().T - e).max() < 1e-12
+    assert evals.min() > -np.pi / 2 + 1e-6 and evals.max() <= np.pi / 2 + 1e-12
+    minus_one = null_space(e + np.eye(len(e)))
+    assert minus_one.shape[1] == len(pset.spherical.chains)  # one per cycle
+    assert np.abs(phase @ minus_one - (np.pi / 2) * minus_one).max() < 1e-12
+    off = np.eye(len(e)) - minus_one @ minus_one.conj().T
+    assert np.abs((phase - _schur_phase(e)) @ off).max() < 1e-12
+
+
+def test_hermitian_phase_is_block_sparse_and_deterministic(sph6, params, ops6):
+    a = build_phase_operators(sph6, params, "cyclic", ops6).hermitian_phase()
+    b = build_phase_operators(sph6, params, "cyclic", ops6).hermitian_phase()
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(a.matrix, attr).tobytes() == getattr(b.matrix, attr).tobytes()
+    cycle_of = np.empty(2 * sph6.dim, dtype=np.int64)
+    lengths = []
+    for k, idxs in enumerate(sph6.chains.values()):
+        cycle_of[idxs] = k
+        cycle_of[np.array(idxs) + sph6.dim] = k
+        lengths.append(2 * len(idxs))
+    coo = a.matrix.tocoo()
+    assert (cycle_of[coo.row] == cycle_of[coo.col]).all()
+    assert a.nnz == sum(n * n for n in lengths)
 
 
 def test_hermitian_phase_requires_cyclic(pset6_open):

@@ -84,7 +84,38 @@ def test_build_is_deterministic(basis6, params, ops6):
     a = build_spherical(basis6, params, ops6)
     b = build_spherical(basis6, params, ops6)
     assert a.labels == b.labels
-    assert a.U.tobytes() == b.U.tobytes()
+    assert [u.tobytes() for u in a.blocks] == [u.tobytes() for u in b.blocks]
+
+
+def _cartesian_operator_list(ops):
+    named = [("h", ops.h), ("l2", ops.l2), ("v2", ops.v2)]
+    for ax in ("x", "y", "z"):
+        named += [(f"{kind}_{ax}", getattr(ops, kind)[ax]) for kind in ("a", "adag", "r", "p", "l", "v")]
+    return named
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6])
+def test_block_transform_matches_dense_reference(n_max):
+    params = OscParams(1.3, 0.7)
+    basis = build_basis(n_max)
+    ops = cartesian_operators(basis, params)
+    sph = build_spherical(basis, params, ops)
+    sizes = [(n + 1) * (n + 2) // 2 for n in range(n_max + 1)]
+    assert [u.shape for u in sph.blocks] == [(k, k) for k in sizes]
+    for u in sph.blocks:
+        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12
+    dense_u = sph.column_map().toarray()
+    shells = basis.shells
+    for name, op in _cartesian_operator_list(ops):
+        ref = dense_u.conj().T @ (op.toarray() @ dense_u)
+        got = to_spherical(op, sph)
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(got.toarray() - ref).max() <= 1e-13 * scale, name
+        # stored entries only on the shell pairs where the operator has entries
+        src = op.matrix.tocoo()
+        admissible = set(zip(shells[src.row].tolist(), shells[src.col].tolist()))
+        out = got.matrix.tocoo()
+        assert set(zip(shells[out.row].tolist(), shells[out.col].tolist())) <= admissible, name
 
 
 def test_window_metadata_carries_over(sph6, ops6):

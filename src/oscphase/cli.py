@@ -37,7 +37,13 @@ CSV_CHUNK_ROWS = 4096  # rows per write: bounds the memory of the formatted text
 MAX_TRAJECTORY_ROWS = 10_000_000
 # Config keys that only some subcommands read; the others reject them, as
 # their parsers reject the matching flags.
-COMMAND_KEYS = {"mode": ("trajectory",)}
+COMMAND_KEYS = {
+    "mode": ("trajectory",),
+    "state": ("trajectory",),
+    "t_max": ("trajectory",),
+    "dt": ("trajectory",),
+    "n_max_list": ("unitarity-scan",),
+}
 
 
 class ConfigError(Exception):

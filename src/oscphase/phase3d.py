@@ -11,14 +11,14 @@ doubled states form one chain
 and the phase exponential shifts it one step left. All operators here
 are exactly block diagonal in (l, m) by construction.
 
-The shift normalization divides the shell-lowering square V2 by the
-square root of
-
-    B = (H + w)^2 - w^2 (L^2 + 1/4),
-
-whose eigenvalue on |n, l, m> is w^2 (2n+2) (2n+2l+3) > 0. B is
-evaluated in the spherical basis, where it is diagonal; positivity is
-asserted before taking roots.
+The phase set is built from the labels alone: S has unit entries on the
+chain links, the shift normalization B = (H + w)^2 - w^2 (L^2 + 1/4) is
+diagonal with eigenvalue w^2 (2n+2) (2n+2l+3) > 0 on |n, l, m>, and the
+phase exponential is the chain dyadic. The paper's routes to them are
+kept as the references verify checks against: normalization_bracket
+evaluates B from the Cartesian operators, radial_shift_pair divides the
+shell-lowering square V2 by B^(1/2), and projector_phase_exponential
+assembles E from the projector formula.
 """
 
 from __future__ import annotations
@@ -78,6 +78,12 @@ class DoubledBasis:
         return plus, minus
 
 
+def _unit_entries(basis, rows, cols, window: int, lo: int, hi: int) -> OperatorMatrix:
+    """An operator whose stored entries are exactly 1, at (rows[k], cols[k])."""
+    mat = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(basis.dim, basis.dim))
+    return OperatorMatrix(mat, basis, window, lo, hi)
+
+
 def sign_operator(doubled: DoubledBasis) -> OperatorMatrix:
     """Diagonal +1 on H_+, -1 on H_-."""
     diag = np.concatenate(
@@ -88,11 +94,8 @@ def sign_operator(doubled: DoubledBasis) -> OperatorMatrix:
 
 def exchange_operator(doubled: DoubledBasis) -> OperatorMatrix:
     """Swap of the two copies; squares to the identity, anticommutes with the sign."""
-    d = doubled.dim_single
-    rows = list(range(d, 2 * d)) + list(range(d))
-    cols = list(range(d)) + list(range(d, 2 * d))
-    m = sparse.coo_matrix(([1.0] * (2 * d), (rows, cols)), shape=(doubled.dim, doubled.dim))
-    return OperatorMatrix(m, doubled, doubled.n_max, 0, 0)
+    cols = np.arange(doubled.dim)
+    return _unit_entries(doubled, np.roll(cols, doubled.dim_single), cols, doubled.n_max, 0, 0)
 
 
 def doubled_identity(doubled: DoubledBasis) -> OperatorMatrix:
@@ -131,11 +134,11 @@ def radial_shift_pair(sph: SphericalBasis, params: OscParams, norm_diag: np.ndar
     shell-lowering square V2 over the spherical labels. Built chain by
     chain, so matrix elements between different (l, m) are exact zeros.
     S|n,l,m> = |n-1,l,m> with coefficient one (up to roundoff) and
-    S|0,l,m> = 0.
+    S|0,l,m> = 0. This is the paper's route to the S that PhaseOperatorSet
+    builds from the labels; verify compares the two.
     """
-    links = [(idxs[n - 1], idxs[n]) for idxs in sph.chains.values() for n in range(1, len(idxs))]
-    rows, cols = np.array(links, dtype=np.int64).reshape(-1, 2).T
-    elements = np.asarray(v2.matrix[rows, cols]).ravel() if links else np.zeros(0)
+    rows, cols = sph.links
+    elements = np.asarray(v2.matrix[rows, cols]).ravel() if len(rows) else np.zeros(0)
     vals = elements / (2.0 * params.mass * np.sqrt(norm_diag[rows]))
     mat = sparse.coo_matrix((vals, (rows, cols)), shape=(sph.dim, sph.dim))
     down = OperatorMatrix(mat, sph, window=sph.n_max, lo=-2, hi=-2)
@@ -147,22 +150,25 @@ class PhaseOperatorSet:
 
     Fields: down/up (radial shift pair embedded on both copies), sign,
     exchange, exp_plus/exp_minus (the unitary phase exponential and its
-    adjoint), cos2/sin2, sqrt_norm (B^(1/2) over the single copy),
-    norm_diag (the diagonal of B) and v2 (V2 over the spherical labels).
+    adjoint), cos2/sin2, sqrt_norm (B^(1/2) over the single copy) and
+    norm_diag (the diagonal of B), all built from the spherical labels.
     The constructor builds the open set; cyclic() derives the cyclic one.
     Instances are immutable; share them freely across threads.
     """
 
-    def __init__(self, sph: SphericalBasis, params: OscParams, ops: CartesianOperators):
+    def __init__(self, sph: SphericalBasis, params: OscParams):
         self.spherical = sph
         self.params = params
         self.mode = "open"
         self.doubled = DoubledBasis(sph)
         d = self.doubled
+        lower, upper = sph.links
+        n, l = sph.radial, sph.orbital
 
-        self.norm_diag = normalization_bracket(sph, params, ops)
-        self.v2 = to_spherical(ops.v2, sph)
-        self.down_single, self.up_single = radial_shift_pair(sph, params, self.norm_diag, self.v2)
+        w = params.omega
+        self.norm_diag = (w * w) * ((2.0 * n + 2) * (2.0 * n + 2 * l + 3))
+        self.down_single = _unit_entries(sph, lower, upper, sph.n_max, -2, -2)
+        self.up_single = self.down_single.adjoint()
         self.down = d.embed(self.down_single)
         self.up = d.embed(self.up_single)
         self.sqrt_norm = OperatorMatrix(
@@ -171,14 +177,12 @@ class PhaseOperatorSet:
         self.sign = sign_operator(d)
         self.exchange = exchange_operator(d)
 
-        ident = doubled_identity(d)
-        p_plus = 0.5 * (ident + self.sign)
-        vac = ident - self.up @ self.down
-        self._set_exponential(
-            p_plus @ self.down + (0.5 * (ident - self.sign)) @ self.up + (
-                self.exchange @ vac @ p_plus
-            )
-        )
+        # the chain dyadic: down the plus copy, across the vacuum link, up the
+        # minus copy; (window, lo, hi) as the projector formula composes them
+        bottoms, single = np.flatnonzero(sph.radial == 0), d.dim_single
+        rows = np.concatenate([lower, upper + single, bottoms + single])
+        cols = np.concatenate([upper, lower + single, bottoms])
+        self._set_exponential(_unit_entries(d, rows, cols, d.n_max - 2, -2, 2))
 
     def _set_exponential(self, e2: OperatorMatrix) -> None:
         d = self.doubled
@@ -198,11 +202,12 @@ class PhaseOperatorSet:
         """
         if self.mode != "open":
             raise ValueError("only an open phase set can be closed cyclically")
-        # |top,+><top,-| per chain: the exchange applied to the minus-branch tops
-        wrap = self.exchange @ self.chain_end_projector(-1)
+        d = self.doubled
+        tops = np.flatnonzero(self.spherical.shells > d.n_max - 2)  # chain tops: 2n + l >= n_max - 1
+        wrap = _unit_entries(d, tops, tops + d.dim_single, d.n_max - 2, 0, 0)  # |top,+><top,-|
         cyc = copy.copy(self)
         cyc.mode = "cyclic"
-        cyc._set_exponential(self.exp_plus + wrap.with_window(self.doubled.n_max - 2, 0, 0))
+        cyc._set_exponential(self.exp_plus + wrap)
         return cyc
 
     # -- projectors ----------------------------------------------------------
@@ -210,21 +215,15 @@ class PhaseOperatorSet:
     def vacuum_projector(self) -> OperatorMatrix:
         """Projector onto the n = 0 states of both copies."""
         d = self.doubled
-        idx = [d.index(lab, lam) for lab in d.spherical.labels if lab.n == 0 for lam in (+1, -1)]
-        m = sparse.coo_matrix(
-            ([1.0] * len(idx), (idx, idx)), shape=(d.dim, d.dim)
-        )
-        return OperatorMatrix(m, d, d.n_max, 0, 0)
+        keep = np.tile(d.spherical.radial == 0, 2).astype(np.complex128)
+        return OperatorMatrix(sparse.diags(keep), d, d.n_max, 0, 0)
 
     def chain_end_projector(self, lam: int) -> OperatorMatrix:
-        """Projector onto the chain-top states of one branch."""
+        """Projector onto the chain-top states, shell 2n + l >= n_max - 1, of one branch."""
         d = self.doubled
-        idx = []
-        for (l, m), idxs in self.spherical.chains.items():
-            top = idxs[-1]
-            idx.append(top if lam > 0 else top + d.dim_single)
-        mat = sparse.coo_matrix(([1.0] * len(idx), (idx, idx)), shape=(d.dim, d.dim))
-        return OperatorMatrix(mat, d, d.n_max, 0, 0)
+        diag = np.zeros(d.dim, dtype=np.complex128)
+        diag[d.branch_slice(lam)] = d.spherical.shells > d.n_max - 2
+        return OperatorMatrix(sparse.diags(diag), d, d.n_max, 0, 0)
 
     def interior_projector(self) -> OperatorMatrix:
         """Projector onto doubled states with shell 2n + l <= n_max - 2."""
@@ -305,16 +304,18 @@ def _cycle_phase(length: int) -> np.ndarray:
 def build_phase_operators(
     sph: SphericalBasis, params: OscParams, mode: str, ops: CartesianOperators
 ) -> PhaseOperatorSet:
-    return _phase_sets(sph, params, ops, (mode,))[mode]
+    """The phase set of one mode. ops is accepted and unused: the set is
+    built from the spherical labels."""
+    return _phase_sets(sph, params, (mode,))[mode]
 
 
-def _phase_sets(sph, params, ops, modes) -> dict[str, PhaseOperatorSet]:
+def _phase_sets(sph, params, modes) -> dict[str, PhaseOperatorSet]:
     """One phase set per requested mode, all derived from a single open build."""
     if not set(modes) <= {"open", "cyclic"}:
         raise ValueError("mode must be 'open' or 'cyclic'")
     if not modes:
         return {}
-    open_set = PhaseOperatorSet(sph, params, ops)
+    open_set = PhaseOperatorSet(sph, params)
     return {mode: open_set.cyclic() if mode == "cyclic" else open_set for mode in modes}
 
 
@@ -333,6 +334,11 @@ class Model:
         """The Hamiltonian over the spherical labels, transformed on first use."""
         return to_spherical(self.ops.h, self.sph)
 
+    @cached_property
+    def v2(self) -> OperatorMatrix:
+        """The shell-lowering square V2 over the spherical labels, transformed on first use."""
+        return to_spherical(self.ops.v2, self.sph)
+
 
 def build_model(n_max: int, params: OscParams, modes=()) -> Model:
     """Build every stage once: basis, operators, spherical basis, phase sets.
@@ -343,35 +349,23 @@ def build_model(n_max: int, params: OscParams, modes=()) -> Model:
     basis = build_basis(n_max)
     ops = cartesian_operators(basis, params)
     sph = build_spherical(basis, params, ops)
-    return Model(basis, ops, sph, _phase_sets(sph, params, ops, tuple(modes)))
+    return Model(basis, ops, sph, _phase_sets(sph, params, tuple(modes)))
 
 
-def dyadic_phase_exponential(pset: PhaseOperatorSet) -> sparse.csr_matrix:
-    """Independent chain-enumeration form of the phase exponential.
+def projector_phase_exponential(pset: PhaseOperatorSet, down: OperatorMatrix) -> OperatorMatrix:
+    """The paper's projector formula for the open phase exponential,
 
-    Sum over chains of |n,lm,+><n+1,lm,+| + |0,lm,-><0,lm,+| +
-    |n+1,lm,-><n,lm,-|, plus the wrap term in cyclic mode. Used to
-    cross-check the projector formula entry for entry.
+        E = P+ S + P- S+ + X (1 - S+ S) P+,   P+- = (1 +- I) / 2,
+
+    from a radial shift S embedded on both copies, with the sign I and the
+    exchange X of pset. verify compares it entrywise with the chain dyadic
+    that pset holds; the cyclic exponential adds the wrap X P_ends(-).
     """
-    d = pset.doubled
-    rows, cols, vals = [], [], []
-    for (l, m), idxs in pset.spherical.chains.items():
-        plus, minus = d.chain(l, m)
-        for n in range(1, len(idxs)):
-            rows.append(plus[n - 1])
-            cols.append(plus[n])
-            vals.append(1.0)
-            rows.append(minus[n])
-            cols.append(minus[n - 1])
-            vals.append(1.0)
-        rows.append(minus[0])
-        cols.append(plus[0])
-        vals.append(1.0)
-        if pset.mode == "cyclic":
-            rows.append(plus[-1])
-            cols.append(minus[-1])
-            vals.append(1.0)
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(d.dim, d.dim)).tocsr()
+    ident = doubled_identity(pset.doubled)
+    p_plus = 0.5 * (ident + pset.sign)
+    up = down.adjoint()
+    vac = ident - up @ down
+    return p_plus @ down + (0.5 * (ident - pset.sign)) @ up + (pset.exchange @ vac @ p_plus)
 
 
 def inverse_shift_residuals(pset: PhaseOperatorSet) -> dict:
@@ -394,7 +388,7 @@ def inverse_shift_residuals(pset: PhaseOperatorSet) -> dict:
     }
 
 
-def reconstruction_residuals(pset: PhaseOperatorSet) -> dict:
+def reconstruction_residuals(pset: PhaseOperatorSet, v2: OperatorMatrix) -> dict:
     """Residuals of rebuilding (p -+ i M w r)^2 from the phase operators.
 
     First line: V2 = 2M B^(1/2) (cos + i I sin), prefactor on the left.
@@ -403,11 +397,12 @@ def reconstruction_residuals(pset: PhaseOperatorSet) -> dict:
     operator sits to the right of the sine. Placing the sign to the left
     of the sine in the second line fails on the vacuum-link states, so
     that variant is reported separately with the vacuum excluded.
-    All residuals are relative and restricted to the interior window.
+    v2 is V2 over the spherical labels (Model.v2). All residuals are
+    relative and restricted to the interior window.
     """
     params = pset.params
     d = pset.doubled
-    v2_d = d.embed(pset.v2)
+    v2_d = d.embed(v2)
     sqrt_b = d.embed(pset.sqrt_norm)
     two_m = 2.0 * params.mass
 

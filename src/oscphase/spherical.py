@@ -49,7 +49,9 @@ class SphericalBasis:
 
     Column i of U is the Cartesian coefficient vector of labels[i]. Labels
     are ordered graded-lexicographically by (shell, l, m). chains maps each
-    (l, m) to the label positions ordered by increasing n.
+    (l, m) to the label positions ordered by increasing n; radial and
+    orbital hold each label's n and l, and links = (lower, upper) the
+    positions of every chain link |n-1,l,m> <- |n,l,m>.
 
     Both bases are graded by shell with equal shell sizes, so U is block
     diagonal: blocks[N] is the square block U_N on shell_slices[N], which
@@ -76,6 +78,11 @@ class SphericalBasis:
         for idxs in chains.values():
             idxs.sort(key=lambda i: self.labels[i].n)
         self.chains = chains
+        self.radial = np.array([lab.n for lab in self.labels], dtype=np.int64)
+        self.orbital = np.array([lab.l for lab in self.labels], dtype=np.int64)
+        lower = [i for idxs in chains.values() for i in idxs[:-1]]
+        upper = [i for idxs in chains.values() for i in idxs[1:]]
+        self.links = (np.array(lower, dtype=np.int64), np.array(upper, dtype=np.int64))
         self.key = _hash_key(
             f"spherical/v1/{cart.key}/" + ",".join(f"{la.n}:{la.l}:{la.m}" for la in self.labels)
         )

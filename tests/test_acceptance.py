@@ -189,10 +189,11 @@ def test_criterion_06_reconstruction_at_12():
     basis = build_basis(12)
     ops = cartesian_operators(basis, params)
     sph = build_spherical(basis, params, ops)
+    v2 = to_spherical(ops.v2, sph)
     worst = 0.0
     for mode in ("open", "cyclic"):
         pset = build_phase_operators(sph, params, mode, ops)
-        res = reconstruction_residuals(pset)
+        res = reconstruction_residuals(pset, v2)
         worst = max(worst, res["lowering"], res["raising"])
         inv = inverse_shift_residuals(pset)
         worst = max(worst, inv["down"], inv["up"])

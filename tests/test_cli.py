@@ -178,10 +178,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
 
 def test_config_mode_key_only_for_trajectory(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n_max = 1\nmode = cyclic\n")
-    for command in ("verify", "spectrum", "unitarity-scan"):
+    cases = [(command, "mode = cyclic") for command in ("verify", "spectrum", "unitarity-scan")]
+    cases += [("verify", "state = not a state"), ("verify", "n_max_list = 3,4"), ("spectrum", "t_max = 5")]
+    cases += [("unitarity-scan", "dt = 0.5"), ("trajectory", "n_max_list = 2")]
+    for command, line in cases:
+        key = line.split(" = ")[0]
+        cfg.write_text("n_max = 1\n%s\n" % line)
         assert run_cli([command, "--config", str(cfg)]) == 2
-        assert "run.cfg:2: key 'mode' applies only to trajectory" in capsys.readouterr().err
+        owner = "unitarity-scan" if key == "n_max_list" else "trajectory"
+        assert "run.cfg:2: key '%s' applies only to %s" % (key, owner) in capsys.readouterr().err
     modes = []
     build = cli.build_model
     monkeypatch.setattr(cli, "build_model", lambda n_max, params, m: modes.append(m) or build(n_max, params, m))

@@ -9,14 +9,15 @@ from oscphase import (
     SingularNormalization,
     SphericalLabel,
     build_basis,
+    build_model,
     build_phase_operators,
     build_spherical,
     cartesian_operators,
     doubled_identity,
-    dyadic_phase_exponential,
     inverse_shift_residuals,
     normalization_bracket,
     op_norm_1,
+    projector_phase_exponential,
     radial_shift_pair,
     reconstruction_residuals,
     to_spherical,
@@ -62,10 +63,62 @@ def test_radial_shift_unit_coefficient(sph6, params, ops6):
             assert np.abs(col).max() == 0.0  # exact zeros off the chain
 
 
-def test_phase_exponential_matches_dyadic(pset6_open, pset6_cyclic):
-    for pset in (pset6_open, pset6_cyclic):
-        dy = dyadic_phase_exponential(pset)
-        assert np.abs((pset.exp_plus.matrix - dy).toarray()).max() < 1e-13
+def _route_exponentials(model):
+    """The projector formula from the paper's route to S, per mode (the cyclic one with its wrap)."""
+    sph, params = model.sph, model.ops.params
+    down, _ = radial_shift_pair(sph, params, normalization_bracket(sph, params, model.ops), model.v2)
+    opn, cyc = model.psets["open"], model.psets["cyclic"]
+    route = projector_phase_exponential(opn, opn.doubled.embed(down))
+    return {"open": route, "cyclic": route + cyc.exchange @ cyc.chain_end_projector(-1)}
+
+
+def test_phase_exponential_matches_dyadic(params):
+    # the label-built chain dyadic against the paper's projector formula
+    model = build_model(6, params, ("open", "cyclic"))
+    for mode, route in _route_exponentials(model).items():
+        e2 = model.psets[mode].exp_plus
+        assert np.abs((e2.matrix - route.matrix).toarray()).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6])
+def test_exponential_window_matches_projector_formula(n_max, params):
+    model = build_model(n_max, params, ("open", "cyclic"))
+    for mode, route in _route_exponentials(model).items():
+        e2 = model.psets[mode].exp_plus
+        assert (e2.window, e2.lo, e2.hi) == (route.window, route.lo, route.hi)
+
+
+def _chain_step(sph, row, col, cyclic):
+    """Whether E may map doubled state col to row: one step left along its (l, m) chain."""
+    dim = sph.dim
+    (a, lam_a), (b, lam_b) = [(sph.labels[k % dim], 1 if k < dim else -1) for k in (row, col)]
+    if (a.l, a.m) != (b.l, b.m):
+        return False
+    top = (sph.n_max - b.l) // 2
+    return {
+        (1, 1): a.n == b.n - 1,
+        (1, -1): a.n == b.n == 0,
+        (-1, -1): a.n == b.n + 1,
+        (-1, 1): cyclic and a.n == b.n == top,
+    }[(lam_b, lam_a)]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6])
+def test_phase_set_stores_only_unit_chain_entries(n_max, params):
+    model = build_model(n_max, params, ("open", "cyclic"))
+    sph = model.sph
+    links = sum(len(idxs) - 1 for idxs in sph.chains.values())
+    chains = len(sph.chains)
+    for mode in ("open", "cyclic"):
+        pset = model.psets[mode]
+        down, e2 = pset.down_single.matrix.tocoo(), pset.exp_plus.matrix.tocoo()
+        assert (down.data == 1.0).all() and (e2.data == 1.0).all()
+        assert down.nnz == links
+        for i, j in zip(down.row, down.col):
+            lo, up = sph.labels[i], sph.labels[j]
+            assert (lo.n, lo.l, lo.m) == (up.n - 1, up.l, up.m)
+        assert e2.nnz == 2 * links + chains + (chains if mode == "cyclic" else 0)
+        assert all(_chain_step(sph, i, j, mode == "cyclic") for i, j in zip(e2.row, e2.col))
 
 
 def test_phase_exponential_chain_action(pset6_open):
@@ -117,8 +170,8 @@ def test_cos_vacuum_link_is_half(pset6_open):
     assert abs(cos[d.index(lab, +1), d.index(lab, -1)] - 0.5) < 1e-14
 
 
-def test_reconstruction_residuals_small(pset6_open):
-    res = reconstruction_residuals(pset6_open)
+def test_reconstruction_residuals_small(pset6_open, sph6, ops6):
+    res = reconstruction_residuals(pset6_open, to_spherical(ops6.v2, sph6))
     assert res["lowering"] < 1e-10
     assert res["raising"] < 1e-10
     assert res["raising_sign_left_no_vacuum"] < 1e-10
@@ -249,9 +302,12 @@ def test_mode_validation(sph6, params, ops6):
 
 @pytest.fixture
 def build_calls(monkeypatch):
-    """Counts of to_spherical and normalization_bracket calls made through the package."""
+    """Counts of to_spherical and normalization_bracket calls, through every module binding."""
+    import oscphase
     import oscphase.checks
+    import oscphase.cli
     import oscphase.phase3d
+    import oscphase.spherical
 
     calls = {"to_spherical": 0, "normalization_bracket": 0}
 
@@ -262,11 +318,11 @@ def build_calls(monkeypatch):
 
         return wrapper
 
-    for module in (oscphase.checks, oscphase.phase3d):
-        monkeypatch.setattr(module, "to_spherical", counting("to_spherical", to_spherical))
-    monkeypatch.setattr(
-        oscphase.phase3d, "normalization_bracket", counting("normalization_bracket", normalization_bracket)
-    )
+    for name, fn in (("to_spherical", to_spherical), ("normalization_bracket", normalization_bracket)):
+        wrapper = counting(name, fn)
+        for module in (oscphase, oscphase.checks, oscphase.cli, oscphase.phase3d, oscphase.spherical):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -274,23 +330,23 @@ def test_each_build_stage_runs_once(build_calls, params, tmp_path):
     from oscphase import run_all_checks
     from oscphase.cli import main
 
+    # verify transforms H and V2 and evaluates the bracket for the paper's routes
     run_all_checks(6)
     assert build_calls == {"to_spherical": 3, "normalization_bracket": 1}
+    # the phase sets are built from the labels alone
     basis = build_basis(6)
     ops = cartesian_operators(basis, params)
     sph = build_spherical(basis, params, ops)
     build_calls.update(to_spherical=0, normalization_bracket=0)
     build_phase_operators(sph, params, "cyclic", ops)
-    assert build_calls == {"to_spherical": 2, "normalization_bracket": 1}
-    # the CLI builds one model per size: trajectory one mode, the scan both
+    assert build_calls == {"to_spherical": 0, "normalization_bracket": 0}
     out = str(tmp_path / "out")
-    for argv, sizes in (
-        (["trajectory", "--n-max", "4", "--t-max", "0.1", "--mode", "cyclic"], 1),
-        (["unitarity-scan", "--n-max-list", "0,2,4"], 3),
+    for argv in (
+        ["trajectory", "--n-max", "4", "--t-max", "0.1", "--mode", "cyclic"],
+        ["unitarity-scan", "--n-max-list", "0,2,4"],
     ):
-        build_calls.update(to_spherical=0, normalization_bracket=0)
         assert main(argv + ["--out", out]) == 0
-        assert build_calls == {"to_spherical": 2 * sizes, "normalization_bracket": sizes}
+        assert build_calls == {"to_spherical": 0, "normalization_bracket": 0}
 
 
 def test_cyclic_set_shares_the_open_build(params):
@@ -299,7 +355,7 @@ def test_cyclic_set_shares_the_open_build(params):
     model = build_model(4, params, ("open", "cyclic"))
     opn, cyc = model.psets["open"], model.psets["cyclic"]
     assert (opn.mode, cyc.mode) == ("open", "cyclic")
-    for field in ("doubled", "down", "up", "norm_diag", "sqrt_norm", "sign", "exchange", "v2"):
+    for field in ("doubled", "down", "up", "norm_diag", "sqrt_norm", "sign", "exchange"):
         assert getattr(cyc, field) is getattr(opn, field)
     assert cyc.exp_plus is not opn.exp_plus
     with pytest.raises(ValueError):

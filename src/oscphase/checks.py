@@ -29,11 +29,12 @@ from .fock import (
     AXES,
     OperatorMatrix,
     OscParams,
-    cartesian_operators,
     commutator,
+    hamiltonian,
     identity,
     op_norm_1,
     residual_on_window,
+    vector_ladder_squared,
 )
 from .phase1d import (
     Chain1D,
@@ -99,7 +100,7 @@ def run_all_checks(n_max: int = 8, params: OscParams | None = None) -> list[Chec
     params = params or OscParams()
     ctx = build_model(n_max, params, ("open", "cyclic"))
     # the paper's routes to S and E, against which the label-built ones are checked
-    s_route, _ = radial_shift_pair(ctx.sph, params, normalization_bracket(ctx.sph, params, ctx.ops), ctx.v2)
+    s_route, _ = radial_shift_pair(ctx.sph, params, normalization_bracket(ctx.eigenbasis, params, ctx.ops), ctx.v2)
     open_set = ctx.psets["open"]
     e_route = projector_phase_exponential(open_set, open_set.doubled.embed(s_route))
     reports: list[CheckReport] = []
@@ -242,9 +243,9 @@ def _fock_checks(ctx: Model) -> list[CheckReport]:
         )
     )
 
-    alt = cartesian_operators(ctx.basis, OscParams(2.0 * params.mass, 0.5 * params.omega))
-    h_res = _rel(op_norm_1(2.0 * alt.h - ops.h), op_norm_1(ops.h))
-    v2_res = _rel(op_norm_1(alt.v2 - ops.v2), op_norm_1(ops.v2)) if ops.v2.nnz else 0.0
+    alt = OscParams(2.0 * params.mass, 0.5 * params.omega)
+    h_res = _rel(op_norm_1(2.0 * hamiltonian(ctx.basis, alt) - ops.h), op_norm_1(ops.h))
+    v2_res = _rel(op_norm_1(vector_ladder_squared(ctx.basis, alt) - ops.v2), op_norm_1(ops.v2)) if ops.v2.nnz else 0.0
     out.append(
         CheckReport(
             "parameter_scaling",
@@ -262,7 +263,8 @@ def _fock_checks(ctx: Model) -> list[CheckReport]:
 
 
 def _spherical_checks(ctx: Model) -> list[CheckReport]:
-    sph, ops, params = ctx.sph, ctx.ops, ctx.ops.params
+    # build_spherical raises unless each shell's L^2 and L_z content matches the labels
+    sph, ops, params = ctx.eigenbasis, ctx.ops, ctx.ops.params
     out = []
 
     # both residuals are measured once, while build_spherical validates U

@@ -46,6 +46,7 @@ class Basis3D:
     ----------
     states : list of (nx, ny, nz) tuples in graded-lexicographic order.
     index : dict mapping state tuple to its position.
+    quanta : (dim, 3) int array of the states.
     shells : int array, total quanta of each basis state.
     """
 
@@ -53,16 +54,15 @@ class Basis3D:
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         self.n_max = int(n_max)
-        states = [
-            (nx, ny, nz)
-            for nx in range(n_max + 1)
-            for ny in range(n_max + 1 - nx)
-            for nz in range(n_max + 1 - nx - ny)
+        self.states = states = [
+            (nx, ny, shell - nx - ny)
+            for shell in range(n_max + 1)
+            for nx in range(shell + 1)
+            for ny in range(shell + 1 - nx)
         ]
-        states.sort(key=lambda s: (sum(s), s))
-        self.states = states
         self.index = {s: i for i, s in enumerate(states)}
-        self.shells = np.array([sum(s) for s in states], dtype=np.int64)
+        self.quanta = np.array(states, dtype=np.int64).reshape(-1, 3)
+        self.shells = self.quanta.sum(axis=1)
         self.dim = len(states)
         self.key = _hash_key(f"cart3d/v1/n_max={self.n_max}/graded-lex")
 
@@ -225,20 +225,17 @@ _AXIS_NUM = {"x": 0, "y": 1, "z": 2}
 def ladder(basis: Basis3D, axis: str) -> OperatorMatrix:
     """Annihilation operator for one Cartesian axis: a|..n..> = sqrt(n)|..n-1..>.
 
-    Pure lowering, so the truncated matrix is exact on every shell.
+    Pure lowering, so the truncated matrix is exact on every shell. Each
+    lowered state's position is graded-lex in closed form: shell N starts
+    at N(N+1)(N+2)/6, then nx(N+1) - nx(nx-1)/2 + ny within the shell.
     """
     ax = _AXIS_NUM[axis]
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(basis.states):
-        n = s[ax]
-        if n == 0:
-            continue
-        t = list(s)
-        t[ax] = n - 1
-        rows.append(basis.index[tuple(t)])
-        cols.append(j)
-        vals.append(np.sqrt(n))
-    m = sparse.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    cols = np.flatnonzero(basis.quanta[:, ax])
+    low = basis.quanta[cols]
+    low[:, ax] -= 1
+    n, nx, ny = low.sum(axis=1), low[:, 0], low[:, 1]
+    rows = n * (n + 1) * (n + 2) // 6 + nx * (n + 1) - nx * (nx - 1) // 2 + ny
+    m = sparse.coo_matrix((np.sqrt(basis.quanta[cols, ax]), (rows, cols)), shape=(basis.dim, basis.dim))
     return OperatorMatrix(m, basis, window=basis.n_max, lo=-1, hi=-1)
 
 
@@ -247,22 +244,34 @@ def raising(basis: Basis3D, axis: str) -> OperatorMatrix:
     return ladder(basis, axis).adjoint()
 
 
+def _position(a: OperatorMatrix, params: OscParams) -> OperatorMatrix:
+    return (a + a.adjoint()) * (1.0 / np.sqrt(2.0 * params.mass * params.omega))
+
+
+def _momentum(a: OperatorMatrix, params: OscParams) -> OperatorMatrix:
+    return (a.adjoint() - a) * (1j * np.sqrt(params.mass * params.omega / 2.0))
+
+
 def position(basis: Basis3D, axis: str, params: OscParams) -> OperatorMatrix:
     """r_j = (a_j + a_j†) / sqrt(2 M w)."""
-    a = ladder(basis, axis)
-    return (a + a.adjoint()) * (1.0 / np.sqrt(2.0 * params.mass * params.omega))
+    return _position(ladder(basis, axis), params)
 
 
 def momentum(basis: Basis3D, axis: str, params: OscParams) -> OperatorMatrix:
     """p_j = i sqrt(M w / 2) (a_j† - a_j)."""
-    a = ladder(basis, axis)
-    return (a.adjoint() - a) * (1j * np.sqrt(params.mass * params.omega / 2.0))
+    return _momentum(ladder(basis, axis), params)
 
 
 def hamiltonian(basis: Basis3D, params: OscParams) -> OperatorMatrix:
     """H = w (N + 3/2), diagonal in the number basis, exact on every shell."""
     diag = params.omega * (basis.shells + 1.5)
     return OperatorMatrix(sparse.diags(diag.astype(np.complex128)), basis, basis.n_max, 0, 0)
+
+
+def _angular_momentum(a: dict[str, OperatorMatrix], axis: str) -> OperatorMatrix:
+    k = _AXIS_NUM[axis]
+    ai, aj = a[AXES[(k + 1) % 3]], a[AXES[(k + 2) % 3]]
+    return 1j * (aj.adjoint() @ ai - ai.adjoint() @ aj)
 
 
 def angular_momentum(basis: Basis3D, axis: str) -> OperatorMatrix:
@@ -272,18 +281,28 @@ def angular_momentum(basis: Basis3D, axis: str) -> OperatorMatrix:
     truncation (window n_max); multiplying truncated r and p matrices
     instead is exact only one shell lower.
     """
-    k = _AXIS_NUM[axis]
-    i_ax, j_ax = AXES[(k + 1) % 3], AXES[(k + 2) % 3]
-    ai, aj = ladder(basis, i_ax), ladder(basis, j_ax)
-    return 1j * (aj.adjoint() @ ai - ai.adjoint() @ aj)
+    return _angular_momentum({ax: ladder(basis, ax) for ax in AXES}, axis)
+
+
+def _dot_square(comps) -> OperatorMatrix:
+    total = comps[0] @ comps[0]
+    for c in comps[1:]:
+        total = total + c @ c
+    return total
 
 
 def l_squared(basis: Basis3D) -> OperatorMatrix:
-    ops = [angular_momentum(basis, ax) for ax in AXES]
-    total = ops[0] @ ops[0]
-    for lk in ops[1:]:
-        total = total + lk @ lk
-    return total
+    a = {ax: ladder(basis, ax) for ax in AXES}
+    return _dot_square([_angular_momentum(a, ax) for ax in AXES])
+
+
+def _vector_ladder(a: OperatorMatrix, r: OperatorMatrix, p: OperatorMatrix, params: OscParams):
+    m = p - (1j * params.mass * params.omega) * r
+    ref = (-1j * np.sqrt(2.0 * params.mass * params.omega)) * a
+    scale = max(op_norm_1(ref), 1.0)
+    if op_norm_1(m - ref) > 1e-13 * scale:
+        raise AssertionError("p - i M w r does not reduce to the scaled lowering operator")
+    return ref.with_window(a.basis.n_max, -1, -1)
 
 
 def vector_ladder(basis: Basis3D, axis: str, params: OscParams) -> OperatorMatrix:
@@ -294,14 +313,8 @@ def vector_ladder(basis: Basis3D, axis: str, params: OscParams) -> OperatorMatri
     lowering form so the raising parts cancel exactly rather than to
     roundoff; the window promotion to the full n_max is never assumed.
     """
-    m = momentum(basis, axis, params) - (1j * params.mass * params.omega) * position(
-        basis, axis, params
-    )
-    ref = (-1j * np.sqrt(2.0 * params.mass * params.omega)) * ladder(basis, axis)
-    scale = max(op_norm_1(ref), 1.0)
-    if op_norm_1(m - ref) > 1e-13 * scale:
-        raise AssertionError("p - i M w r does not reduce to the scaled lowering operator")
-    return ref.with_window(basis.n_max, -1, -1)
+    a = ladder(basis, axis)
+    return _vector_ladder(a, _position(a, params), _momentum(a, params), params)
 
 
 def vector_ladder_squared(basis: Basis3D, params: OscParams) -> OperatorMatrix:
@@ -310,28 +323,25 @@ def vector_ladder_squared(basis: Basis3D, params: OscParams) -> OperatorMatrix:
     Commutes with every L_k, so it preserves (l, m) and steps the radial
     quantum number down by one inside each partial wave.
     """
-    comps = [vector_ladder(basis, ax, params) for ax in AXES]
-    total = comps[0] @ comps[0]
-    for v in comps[1:]:
-        total = total + v @ v
-    return total
+    return _dot_square([vector_ladder(basis, ax, params) for ax in AXES])
 
 
 class CartesianOperators:
-    """Bundle of the elementary operators over one basis and parameter set."""
+    """The elementary operators over one basis and parameter set, all
+    derived from the three ladders a_x, a_y, a_z."""
 
     def __init__(self, basis: Basis3D, params: OscParams):
         self.basis = basis
         self.params = params
         self.a = {ax: ladder(basis, ax) for ax in AXES}
         self.adag = {ax: self.a[ax].adjoint() for ax in AXES}
-        self.r = {ax: position(basis, ax, params) for ax in AXES}
-        self.p = {ax: momentum(basis, ax, params) for ax in AXES}
+        self.r = {ax: _position(self.a[ax], params) for ax in AXES}
+        self.p = {ax: _momentum(self.a[ax], params) for ax in AXES}
         self.h = hamiltonian(basis, params)
-        self.l = {ax: angular_momentum(basis, ax) for ax in AXES}
-        self.l2 = l_squared(basis)
-        self.v = {ax: vector_ladder(basis, ax, params) for ax in AXES}
-        self.v2 = vector_ladder_squared(basis, params)
+        self.l = {ax: _angular_momentum(self.a, ax) for ax in AXES}
+        self.l2 = _dot_square([self.l[ax] for ax in AXES])
+        self.v = {ax: _vector_ladder(self.a[ax], self.r[ax], self.p[ax], params) for ax in AXES}
+        self.v2 = _dot_square([self.v[ax] for ax in AXES])
 
 
 def cartesian_operators(basis: Basis3D, params: OscParams) -> CartesianOperators:

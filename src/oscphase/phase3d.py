@@ -321,35 +321,45 @@ def _phase_sets(sph, params, modes) -> dict[str, PhaseOperatorSet]:
 
 @dataclass(frozen=True)
 class Model:
-    """One truncation built once: Cartesian basis and operators, the
-    spherical basis, and a phase set per requested mode (psets[mode])."""
+    """One truncation: the Cartesian basis, the spherical labels (sph) and a
+    phase set per requested mode (psets[mode]). The Cartesian operators, the
+    diagonalized basis and the operators it transforms, which only verify
+    reads, are each built once, on first use."""
 
     basis: Basis3D
-    ops: CartesianOperators
+    params: OscParams
     sph: SphericalBasis
     psets: dict[str, PhaseOperatorSet]
 
     @cached_property
+    def ops(self) -> CartesianOperators:
+        return cartesian_operators(self.basis, self.params)
+
+    @cached_property
+    def eigenbasis(self) -> SphericalBasis:
+        """The spherical basis with the column map U from diagonalizing each shell."""
+        return build_spherical(self.basis, self.params, self.ops)
+
+    @cached_property
     def h(self) -> OperatorMatrix:
         """The Hamiltonian over the spherical labels, transformed on first use."""
-        return to_spherical(self.ops.h, self.sph)
+        return to_spherical(self.ops.h, self.eigenbasis)
 
     @cached_property
     def v2(self) -> OperatorMatrix:
         """The shell-lowering square V2 over the spherical labels, transformed on first use."""
-        return to_spherical(self.ops.v2, self.sph)
+        return to_spherical(self.ops.v2, self.eigenbasis)
 
 
 def build_model(n_max: int, params: OscParams, modes=()) -> Model:
-    """Build every stage once: basis, operators, spherical basis, phase sets.
+    """Build a truncation from its labels: basis, spherical labels, phase sets.
 
     modes lists the edge modes to build phase sets for ("open",
     "cyclic"); the cyclic set is derived from the open one.
     """
     basis = build_basis(n_max)
-    ops = cartesian_operators(basis, params)
-    sph = build_spherical(basis, params, ops)
-    return Model(basis, ops, sph, _phase_sets(sph, params, tuple(modes)))
+    sph = SphericalBasis(basis)
+    return Model(basis, params, sph, _phase_sets(sph, params, tuple(modes)))
 
 
 def projector_phase_exponential(pset: PhaseOperatorSet, down: OperatorMatrix) -> OperatorMatrix:

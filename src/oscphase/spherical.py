@@ -1,8 +1,9 @@
 """Spherical relabeling |n, l, m> of the truncated oscillator basis.
 
-Within each energy shell N the angular momentum operators are block
-diagonal, so L^2 and L_z are diagonalized shell by shell. A shell N
-contains exactly the orbital sectors l = N, N-2, ..., 1 or 0. Only the
+A shell N contains exactly the orbital sectors l = N, N-2, ..., 1 or 0,
+so the labels follow in closed form. Within each shell the angular
+momentum operators are block diagonal, so the column map to the
+Cartesian basis diagonalizes L^2 and L_z shell by shell. Only the
 l = N vectors of each shell are radial ground states (n = 0); states
 with n >= 1 are generated by the adjoint of the shell-lowering square,
 
@@ -45,28 +46,25 @@ class SphericalLabel:
 
 
 class SphericalBasis:
-    """Label table plus the unitary column map U from spherical to Cartesian.
+    """The spherical label table, with the unitary column map U once built.
 
-    Column i of U is the Cartesian coefficient vector of labels[i]. Labels
-    are ordered graded-lexicographically by (shell, l, m). chains maps each
-    (l, m) to the label positions ordered by increasing n; radial and
-    orbital hold each label's n and l, and links = (lower, upper) the
-    positions of every chain link |n-1,l,m> <- |n,l,m>.
+    labels is spherical_labels(n_max), graded-lexicographic by (shell, l, m).
+    chains maps each (l, m) to the label positions ordered by increasing n;
+    radial and orbital hold each label's n and l, and links = (lower, upper)
+    the positions of every chain link |n-1,l,m> <- |n,l,m>.
 
-    Both bases are graded by shell with equal shell sizes, so U is block
-    diagonal: blocks[N] is the square block U_N on shell_slices[N], which
-    indexes the shell's Cartesian states and its labels alike. No dense
-    dim x dim U is stored; column_map() assembles the sparse one.
-
-    build_spherical records the construction's own checks on the basis:
-    unitary_defect is max |U+ U - 1| and eigen_residual the largest
-    eigenvector residual of H, L^2 and L_z over the columns of U.
+    SphericalBasis(cart) holds the labels alone, and blocks is None.
+    build_spherical adds U, whose column i is the Cartesian vector of
+    labels[i], as square blocks: blocks[N] = U_N on shell_slices[N], which
+    index a shell's Cartesian states and its labels alike; column_map()
+    assembles the sparse U. It also records unitary_defect, max |U+ U - 1|,
+    and eigen_residual, the largest eigenvector residual of H, L^2 and L_z.
     """
 
-    def __init__(self, cart: Basis3D, labels, blocks):
+    def __init__(self, cart: Basis3D):
         self.cart = cart
-        self.labels = list(labels)
-        self.blocks = tuple(blocks)
+        self.labels = spherical_labels(cart.n_max)
+        self.blocks = None
         self.dim = len(self.labels)
         self.n_max = cart.n_max
         self.shell_slices = _shell_slices(cart)
@@ -75,9 +73,7 @@ class SphericalBasis:
         chains: dict[tuple[int, int], list[int]] = {}
         for i, lab in enumerate(self.labels):
             chains.setdefault((lab.l, lab.m), []).append(i)
-        for idxs in chains.values():
-            idxs.sort(key=lambda i: self.labels[i].n)
-        self.chains = chains
+        self.chains = chains  # each list is in label order, which increases n along a chain
         self.radial = np.array([lab.n for lab in self.labels], dtype=np.int64)
         self.orbital = np.array([lab.l for lab in self.labels], dtype=np.int64)
         lower = [i for idxs in chains.values() for i in idxs[:-1]]
@@ -89,10 +85,23 @@ class SphericalBasis:
 
     def column_map(self) -> sparse.csr_matrix:
         """U as a sparse matrix holding the nonzero entries of its shell blocks."""
-        return _assemble(((u, sl, sl) for u, sl in zip(self.blocks, self.shell_slices)), self.dim)
+        return _assemble(((u, sl, sl) for u, sl in zip(_blocks(self), self.shell_slices)), self.dim)
 
     def __repr__(self):
         return f"SphericalBasis(n_max={self.n_max}, dim={self.dim})"
+
+
+def spherical_labels(n_max: int) -> list[SphericalLabel]:
+    """Every |n, l, m> with 2n + l <= n_max, sorted by (shell, l, m): shell N
+    holds l = N, N-2, ..., 1 or 0, each with n = (N - l)/2 and m = -l..l."""
+    shells_l = ((shell, l) for shell in range(n_max + 1) for l in _admissible_l(shell))
+    return [SphericalLabel((shell - l) // 2, l, m) for shell, l in shells_l for m in range(-l, l + 1)]
+
+
+def _blocks(sph: SphericalBasis) -> tuple:
+    if sph.blocks is None:
+        raise ValueError("spherical basis holds labels only; build_spherical builds its column map")
+    return sph.blocks
 
 
 def _shell_slices(basis: Basis3D) -> list[slice]:
@@ -118,11 +127,6 @@ def _admissible_l(shell: int):
     return list(range(shell % 2, shell + 1, 2))
 
 
-def _nearest_int(x: float):
-    k = int(round(x))
-    return k, abs(x - k)
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     mags = np.abs(vec)
     top = mags.max()
@@ -133,56 +137,37 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) -> SphericalBasis:
-    """Diagonalize (H, L^2, L_z) and assemble the chain-phased label map.
+    """Diagonalize (H, L^2, L_z) and assemble the chain-phased column map.
 
     Every column lives on its own shell, so each is built and stored as a
-    vector over that shell's Cartesian states only.
+    vector over that shell's Cartesian states only, in the label order of
+    spherical_labels.
 
-    Raises DegenerateSplitFailure when an eigenvalue fails to sit within
-    1e-8 of an admissible integer pattern, or when a finished column fails
-    its eigenvector residual check at 1e-10.
+    Raises DegenerateSplitFailure, naming the shell, when the L^2 or L_z
+    eigenvalues of a shell differ by more than 1e-8 from those of its
+    enumerated labels, and when a finished column fails its eigenvector
+    residual check at 1e-10.
     """
     l2 = ops.l2.matrix
     lz = ops.l["z"].matrix
     slices = _shell_slices(basis)
 
-    seeds: dict[tuple[int, int], np.ndarray] = {}
+    sph = SphericalBasis(basis)
+    columns: list = [None] * sph.dim
     for shell, sel in enumerate(slices):
-        block = l2[sel, sel].toarray()
-        evals, evecs = np.linalg.eigh(block)
-        allowed = _admissible_l(shell)
-        groups: dict[int, list[np.ndarray]] = {}
-        for ev, col in zip(evals, evecs.T):
-            best = min(allowed, key=lambda l: abs(ev - l * (l + 1)))
-            if abs(ev - best * (best + 1)) > CLUSTER_TOL:
-                raise DegenerateSplitFailure(
-                    f"shell {shell}: L^2 eigenvalue {ev!r} is not near any l(l+1)"
-                )
-            groups.setdefault(best, []).append(col)
-        for l, cols in groups.items():
-            expected = 2 * l + 1
-            if len(cols) != expected:
-                raise DegenerateSplitFailure(
-                    f"shell {shell}: l={l} cluster has size {len(cols)}, expected {expected}"
-                )
-        # Only l == shell starts a new radial chain; lower l sectors of this
-        # shell are reached by the chain construction from earlier shells.
-        if shell not in groups:
-            raise DegenerateSplitFailure(f"shell {shell}: missing l={shell} sector")
-        w = np.column_stack(groups[shell])
-        lz_sub = w.conj().T @ lz[sel, sel].toarray() @ w
-        mvals, mvecs = np.linalg.eigh(lz_sub)
-        seen = []
-        for mv, col in zip(mvals, mvecs.T):
-            m, err = _nearest_int(mv)
-            if err > CLUSTER_TOL or abs(m) > shell:
-                raise DegenerateSplitFailure(
-                    f"shell {shell}: L_z eigenvalue {mv!r} is not an admissible integer"
-                )
-            seen.append(m)
-            seeds[(shell, m)] = _fix_phase(w @ col)
-        if sorted(seen) != list(range(-shell, shell + 1)):
-            raise DegenerateSplitFailure(f"shell {shell}: m values {sorted(seen)} incomplete")
+        # eigh sorts ascending, as the enumeration's l(l+1), each 2l+1 times
+        want = np.concatenate([np.full(2 * l + 1, l * (l + 1.0)) for l in _admissible_l(shell)])
+        evals, evecs = np.linalg.eigh(l2[sel, sel].toarray())
+        if np.abs(evals - want).max() > CLUSTER_TOL:
+            raise DegenerateSplitFailure(f"shell {shell}: L^2 eigenvalues differ from the label enumeration")
+        # Only l == shell starts a new radial chain; lower l sectors are reached
+        # by raising chains of earlier shells. Its 2 shell + 1 states are the top
+        # L^2 eigenvalues and the last labels of the shell, |0, shell, m> by m.
+        w = evecs[:, -(2 * shell + 1) :]
+        mvals, mvecs = np.linalg.eigh(w.conj().T @ lz[sel, sel].toarray() @ w)
+        if np.abs(mvals - np.arange(-shell, shell + 1)).max() > CLUSTER_TOL:
+            raise DegenerateSplitFailure(f"shell {shell}: L_z eigenvalues differ from m = -{shell}..{shell}")
+        columns[sel.stop - 2 * shell - 1 : sel.stop] = [_fix_phase(w @ col) for col in mvecs.T]
 
     v2dag = ops.v2.adjoint().matrix
     # V2+ restricted to shell N -> N + 2, the only block the raising step uses
@@ -191,12 +176,9 @@ def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) 
     # norm is taken over the column zero-padded to full length: the entries
     # of U then do not depend on how its columns are stored.
     padded = np.zeros(basis.dim, dtype=np.complex128)
-    columns: dict[SphericalLabel, np.ndarray] = {}
-    for (l, m), vec in seeds.items():
-        columns[SphericalLabel(0, l, m)] = vec
-        prev = vec
-        n = 1
-        while 2 * n + l <= basis.n_max:
+    for (l, m), idxs in sph.chains.items():
+        prev = columns[idxs[0]]
+        for n, i in enumerate(idxs[1:], start=1):
             shell = 2 * n + l
             raised = raise_blocks[shell - 2] @ prev
             padded[slices[shell]] = raised
@@ -204,13 +186,16 @@ def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) 
             padded[slices[shell]] = 0.0
             if norm <= 0.0:
                 raise DegenerateSplitFailure(f"chain (l={l}, m={m}) dies at n={n}")
-            prev = raised / norm
-            columns[SphericalLabel(n, l, m)] = prev
-            n += 1
+            prev = columns[i] = raised / norm
 
-    labels = sorted(columns, key=lambda lab: (lab.shell, lab.l, lab.m))
-    blocks = [np.column_stack([columns[lab] for lab in labels[sel]]) for sel in slices]
-    sph = SphericalBasis(basis, labels, blocks)
+    blocks = []
+    for sel in slices:
+        u = np.column_stack(columns[sel])
+        # The chains are orthonormal only to a roundoff that grows with their
+        # length. One Newton-Schulz step toward the polar factor,
+        # U <- U (3 - U+ U) / 2, squares that defect (Bjorck & Bowie 1971).
+        blocks.append(u @ (1.5 * np.eye(len(u)) - 0.5 * (u.conj().T @ u)))
+    sph.blocks = tuple(blocks)
     sph.unitary_defect, sph.eigen_residual = _validate(sph, ops, params)
     return sph
 
@@ -248,6 +233,7 @@ def to_spherical(op: OperatorMatrix, sph: SphericalBasis) -> OperatorMatrix:
     The column map permutes within shells only, so the validity window and
     displacement bounds carry over unchanged.
     """
+    u = _blocks(sph)
     a = op.matrix
     coo = a.tocoo()
     width = sph.n_max + 1
@@ -257,7 +243,7 @@ def to_spherical(op: OperatorMatrix, sph: SphericalBasis) -> OperatorMatrix:
     for pair in pairs:
         n, k = divmod(pair, width)
         rs, cs = sph.shell_slices[n], sph.shell_slices[k]
-        blocks.append((sph.blocks[n].conj().T @ (a[rs, cs] @ sph.blocks[k]), rs, cs))
+        blocks.append((u[n].conj().T @ (a[rs, cs] @ u[k]), rs, cs))
     return OperatorMatrix(_assemble(blocks, sph.dim), sph, window=op.window, lo=op.lo, hi=op.hi)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oscphase.fock
 from oscphase import (
     AXES,
     OperatorMatrix,
@@ -9,6 +10,7 @@ from oscphase import (
     cartesian_operators,
     commutator,
     identity,
+    ladder,
     op_norm_1,
     raising,
     residual_on_window,
@@ -208,3 +210,37 @@ def test_basis_mismatch_rejected(basis6, ops6):
 def test_negative_n_max_rejected():
     with pytest.raises(ValueError):
         build_basis(-1)
+
+
+def _loop_ladder(basis, axis):
+    """Reference annihilation operator, one basis state at a time."""
+    ax = AXES.index(axis)
+    dense = np.zeros((basis.dim, basis.dim))
+    for j, s in enumerate(basis.states):
+        if s[ax]:
+            t = list(s)
+            t[ax] -= 1
+            dense[basis.index[tuple(t)], j] = np.sqrt(s[ax])
+    return dense
+
+
+@pytest.mark.parametrize("n_max", range(10))
+def test_ladder_matches_state_loop(n_max):
+    basis = build_basis(n_max)
+    for ax in AXES:
+        a = ladder(basis, ax)
+        assert np.array_equal(a.toarray(), _loop_ladder(basis, ax))
+        assert (a.window, a.lo, a.hi) == (n_max, -1, -1)
+
+
+def test_operators_share_three_ladders(monkeypatch):
+    calls = []
+    original = oscphase.fock.ladder
+
+    def counting(basis, axis):
+        calls.append(axis)
+        return original(basis, axis)
+
+    monkeypatch.setattr(oscphase.fock, "ladder", counting)
+    cartesian_operators(build_basis(4), OscParams())
+    assert sorted(calls) == ["x", "y", "z"]

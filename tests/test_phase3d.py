@@ -66,7 +66,8 @@ def test_radial_shift_unit_coefficient(sph6, params, ops6):
 def _route_exponentials(model):
     """The projector formula from the paper's route to S, per mode (the cyclic one with its wrap)."""
     sph, params = model.sph, model.ops.params
-    down, _ = radial_shift_pair(sph, params, normalization_bracket(sph, params, model.ops), model.v2)
+    norm_diag = normalization_bracket(model.eigenbasis, params, model.ops)
+    down, _ = radial_shift_pair(sph, params, norm_diag, model.v2)
     opn, cyc = model.psets["open"], model.psets["cyclic"]
     route = projector_phase_exponential(opn, opn.doubled.embed(down))
     return {"open": route, "cyclic": route + cyc.exchange @ cyc.chain_end_projector(-1)}
@@ -302,14 +303,21 @@ def test_mode_validation(sph6, params, ops6):
 
 @pytest.fixture
 def build_calls(monkeypatch):
-    """Counts of to_spherical and normalization_bracket calls, through every module binding."""
+    """Counts of the build stages and transforms, through every module binding."""
     import oscphase
     import oscphase.checks
     import oscphase.cli
+    import oscphase.fock
     import oscphase.phase3d
     import oscphase.spherical
 
-    calls = {"to_spherical": 0, "normalization_bracket": 0}
+    counted = {
+        "to_spherical": to_spherical,
+        "normalization_bracket": normalization_bracket,
+        "cartesian_operators": cartesian_operators,
+        "build_spherical": build_spherical,
+    }
+    calls = dict.fromkeys(counted, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -318,9 +326,9 @@ def build_calls(monkeypatch):
 
         return wrapper
 
-    for name, fn in (("to_spherical", to_spherical), ("normalization_bracket", normalization_bracket)):
+    for name, fn in counted.items():
         wrapper = counting(name, fn)
-        for module in (oscphase, oscphase.checks, oscphase.cli, oscphase.phase3d, oscphase.spherical):
+        for module in (oscphase, oscphase.checks, oscphase.cli, oscphase.fock, oscphase.phase3d, oscphase.spherical):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -330,23 +338,26 @@ def test_each_build_stage_runs_once(build_calls, params, tmp_path):
     from oscphase import run_all_checks
     from oscphase.cli import main
 
-    # verify transforms H and V2 and evaluates the bracket for the paper's routes
+    none = dict.fromkeys(build_calls, 0)
+    # verify builds the operators and U once, transforms H and V2 and
+    # evaluates the bracket for the paper's routes
     run_all_checks(6)
-    assert build_calls == {"to_spherical": 3, "normalization_bracket": 1}
+    assert build_calls == {**none, "to_spherical": 3, "normalization_bracket": 1, "cartesian_operators": 1, "build_spherical": 1}
     # the phase sets are built from the labels alone
     basis = build_basis(6)
     ops = cartesian_operators(basis, params)
     sph = build_spherical(basis, params, ops)
-    build_calls.update(to_spherical=0, normalization_bracket=0)
+    build_calls.update(none)
     build_phase_operators(sph, params, "cyclic", ops)
-    assert build_calls == {"to_spherical": 0, "normalization_bracket": 0}
+    assert build_calls == none
     out = str(tmp_path / "out")
     for argv in (
         ["trajectory", "--n-max", "4", "--t-max", "0.1", "--mode", "cyclic"],
         ["unitarity-scan", "--n-max-list", "0,2,4"],
+        ["spectrum", "--n-max", "6"],
     ):
         assert main(argv + ["--out", out]) == 0
-        assert build_calls == {"to_spherical": 0, "normalization_bracket": 0}
+        assert build_calls == none
 
 
 def test_cyclic_set_shares_the_open_build(params):

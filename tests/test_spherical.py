@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import oscphase
 from oscphase import (
     DegenerateSplitFailure,
     OperatorMatrix,
     OscParams,
+    SphericalBasis,
     SphericalLabel,
     build_basis,
     build_spherical,
     cartesian_operators,
     degeneracy_table,
+    spherical_labels,
     to_spherical,
 )
 
@@ -140,3 +147,56 @@ def test_n_max_zero_and_one():
         sph = build_spherical(basis, params, cartesian_operators(basis, params))
         assert sph.dim == basis.dim
         assert all(lab.n == 0 for lab in sph.labels)
+
+
+@pytest.mark.parametrize("mass,omega", [(1.0, 1.0), (1.3, 0.7)])
+def test_label_basis_matches_diagonalized_basis(mass, omega):
+    params = OscParams(mass, omega)
+    for n_max in range(13):
+        # brute force: every (n, l, m) with 2n + l <= n_max, sorted by (shell, l, m)
+        brute = sorted(
+            (SphericalLabel(n, l, m) for n in range(n_max + 1) for l in range(n_max + 1 - 2 * n) for m in range(-l, l + 1)),
+            key=lambda lab: (lab.shell, lab.l, lab.m),
+        )
+        assert spherical_labels(n_max) == brute
+        basis = build_basis(n_max)
+        built = build_spherical(basis, params, cartesian_operators(basis, params))
+        labels = SphericalBasis(basis)
+        assert labels.blocks is None
+        assert labels.labels == built.labels
+        assert labels.key == built.key
+        assert labels.chains == built.chains
+        assert all(np.array_equal(a, b) for a, b in zip(labels.links, built.links))
+        for idxs in labels.chains.values():
+            assert [labels.labels[i].n for i in idxs] == list(range(len(idxs)))
+
+
+def test_label_basis_has_no_column_map(basis6, ops6):
+    labels = SphericalBasis(basis6)
+    with pytest.raises(ValueError, match="labels only"):
+        to_spherical(ops6.h, labels)
+    with pytest.raises(ValueError, match="labels only"):
+        labels.column_map()
+
+
+def test_column_map_unitary_to_working_precision():
+    # the polar step per shell block; without it U+ U - 1 reaches 2.9e-15 here
+    basis, params = build_basis(18), OscParams()
+    sph = build_spherical(basis, params, cartesian_operators(basis, params))
+    for u in sph.blocks:
+        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-15
+    assert sph.unitary_defect <= 1e-15
+
+
+def test_every_check_passes_at_n_max_28():
+    # without the polar step radial_shift_commutator reads 1.05e-12 against 1e-12 here
+    src = os.path.dirname(os.path.dirname(oscphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from oscphase import run_all_checks\n"
+        "reports = run_all_checks(28)\n"
+        "print(len(reports), [r.name for r in reports if not r.passed])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "55 []"

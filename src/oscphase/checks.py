@@ -102,13 +102,24 @@ def run_all_checks(n_max: int = 8, params: OscParams | None = None) -> list[Chec
     # the paper's routes to S and E, against which the label-built ones are checked
     s_route, _ = radial_shift_pair(ctx.sph, params, normalization_bracket(ctx.eigenbasis, params, ctx.ops), ctx.v2)
     open_set = ctx.psets["open"]
-    e_route = projector_phase_exponential(open_set, open_set.doubled.embed(s_route))
+    d = open_set.doubled
+    e_route = projector_phase_exponential(open_set, d.embed(s_route))
+    # both modes share the doubled basis, sign, exchange and shift, so the
+    # embedded H and the E-free superselection terms are formed once
+    h_d = d.embed(ctx.h)
+    sign, exch = open_set.sign, open_set.exchange
+    structure = max(
+        op_norm_1(commutator(sign, h_d)),
+        op_norm_1(commutator(sign, open_set.down)),
+        op_norm_1(exch @ exch - doubled_identity(d)),
+        op_norm_1(exch @ sign + sign @ exch),
+    )
     reports: list[CheckReport] = []
     reports += _fock_checks(ctx)
     reports += _spherical_checks(ctx)
     reports += _phase1d_checks(ctx)
     for mode in ("open", "cyclic"):
-        reports += _phase3d_checks(ctx, mode, s_route, e_route)
+        reports += _phase3d_checks(ctx, mode, s_route, e_route, h_d, structure)
     reports += _evolution_checks(ctx)
     return reports
 
@@ -410,9 +421,13 @@ def _diag_projector(basis, diag):
 # -- 3d phase -----------------------------------------------------------------
 
 
-def _phase3d_checks(ctx: Model, mode: str, s_route: OperatorMatrix, e_route: OperatorMatrix) -> list[CheckReport]:
+def _phase3d_checks(
+    ctx: Model, mode: str, s_route: OperatorMatrix, e_route: OperatorMatrix, h_d: OperatorMatrix, structure: float
+) -> list[CheckReport]:
     """Checks of one mode's phase set; s_route and e_route are the paper's
-    routes to S and the open E, which the label-built ones must match."""
+    routes to S and the open E, which the label-built ones must match. h_d
+    is H embedded on both copies, and structure the largest of the
+    superselection residuals that do not involve E."""
     pset = ctx.psets[mode]
     params = ctx.ops.params
     sph = ctx.sph
@@ -569,45 +584,22 @@ def _phase3d_checks(ctx: Model, mode: str, s_route: OperatorMatrix, e_route: Ope
     )
 
     rec = reconstruction_residuals(pset, ctx.v2)
-    out.append(
-        CheckReport(
-            "reconstruction_lowering",
-            "V2 = 2M B^(1/2) (cos + i I sin), prefactor left",
-            mode,
-            d.n_max - 2,
-            rec["lowering"],
-            TOL_RECONSTRUCTION,
-        )
-    )
-    out.append(
-        CheckReport(
-            "reconstruction_raising",
-            "V2+ = (cos - i sin I) 2M B^(1/2), prefactor right",
-            mode,
-            d.n_max - 2,
-            rec["raising"],
-            TOL_RECONSTRUCTION,
-        )
-    )
-    out.append(
-        CheckReport(
-            "reconstruction_sign_left",
-            "V2+ = (cos - i I sin) 2M B^(1/2) away from the vacuum link",
-            mode,
-            d.n_max - 2,
-            rec["raising_sign_left_no_vacuum"],
-            TOL_RECONSTRUCTION,
-        )
-    )
+    for name, key, law in (
+        ("reconstruction_lowering", "lowering", "V2 = 2M B^(1/2) (cos + i I sin), prefactor left"),
+        ("reconstruction_raising", "raising", "V2+ = (cos - i sin I) 2M B^(1/2), prefactor right"),
+        ("reconstruction_sign_left", "raising_sign_left_no_vacuum",
+         "V2+ = (cos - i I sin) 2M B^(1/2) away from the vacuum link"),
+    ):
+        out.append(CheckReport(name, law, mode, d.n_max - 2, rec[key], TOL_RECONSTRUCTION))
 
-    h_d = d.embed(ctx.h)
     w = params.omega
     p_plus = pset.branch_projector(+1)
     p_minus = pset.branch_projector(-1)
     scale = 2.0 * w * max(op_norm_1(e2), 1.0)
+    comm_e, comm_e_adj = commutator(h_d, e2), commutator(h_d, pset.exp_minus)
     resid = max(
-        _rel(op_norm_1(p_plus @ (commutator(h_d, e2) + (2.0 * w) * e2) @ p_plus), scale),
-        _rel(op_norm_1(p_plus @ (commutator(h_d, pset.exp_minus) - (2.0 * w) * pset.exp_minus) @ p_plus), scale),
+        _rel(op_norm_1(p_plus @ (comm_e + (2.0 * w) * e2) @ p_plus), scale),
+        _rel(op_norm_1(p_plus @ (comm_e_adj - (2.0 * w) * pset.exp_minus) @ p_plus), scale),
     )
     out.append(
         CheckReport(
@@ -620,8 +612,8 @@ def _phase3d_checks(ctx: Model, mode: str, s_route: OperatorMatrix, e_route: Ope
         )
     )
     resid = max(
-        _rel(op_norm_1(p_minus @ (commutator(h_d, e2) - (2.0 * w) * e2) @ p_minus), scale),
-        _rel(op_norm_1(p_minus @ (commutator(h_d, pset.exp_minus) + (2.0 * w) * pset.exp_minus) @ p_minus), scale),
+        _rel(op_norm_1(p_minus @ (comm_e - (2.0 * w) * e2) @ p_minus), scale),
+        _rel(op_norm_1(p_minus @ (comm_e_adj + (2.0 * w) * pset.exp_minus) @ p_minus), scale),
     )
     out.append(
         CheckReport(
@@ -634,14 +626,7 @@ def _phase3d_checks(ctx: Model, mode: str, s_route: OperatorMatrix, e_route: Ope
         )
     )
 
-    sign, exch = pset.sign, pset.exchange
-    resid = max(
-        op_norm_1(commutator(sign, h_d)),
-        op_norm_1(commutator(sign, pset.down)),
-        op_norm_1(exch @ exch - ident),
-        op_norm_1(exch @ sign + sign @ exch),
-    )
-    resid = max(resid, abs(op_norm_1(commutator(sign, e2)) - 2.0))
+    resid = max(structure, abs(op_norm_1(commutator(pset.sign, e2)) - 2.0))
     out.append(
         CheckReport(
             "superselection_structure",

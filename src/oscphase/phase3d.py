@@ -323,8 +323,8 @@ def _phase_sets(sph, params, modes) -> dict[str, PhaseOperatorSet]:
 class Model:
     """One truncation: the Cartesian basis, the spherical labels (sph) and a
     phase set per requested mode (psets[mode]). The Cartesian operators, the
-    diagonalized basis and the operators it transforms, which only verify
-    reads, are each built once, on first use."""
+    basis with its closed-form column map and the operators it transforms,
+    which only verify reads, are each built once, on first use."""
 
     basis: Basis3D
     params: OscParams
@@ -337,7 +337,7 @@ class Model:
 
     @cached_property
     def eigenbasis(self) -> SphericalBasis:
-        """The spherical basis with the column map U from diagonalizing each shell."""
+        """The spherical basis with the column map U, built in closed form by build_spherical."""
         return build_spherical(self.basis, self.params, self.ops)
 
     @cached_property

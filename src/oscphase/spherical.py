@@ -1,11 +1,12 @@
 """Spherical relabeling |n, l, m> of the truncated oscillator basis.
 
 A shell N contains exactly the orbital sectors l = N, N-2, ..., 1 or 0,
-so the labels follow in closed form. Within each shell the angular
-momentum operators are block diagonal, so the column map to the
-Cartesian basis diagonalizes L^2 and L_z shell by shell. Only the
-l = N vectors of each shell are radial ground states (n = 0); states
-with n >= 1 are generated by the adjoint of the shell-lowering square,
+so the labels follow in closed form, and so does the column map to the
+Cartesian basis, shell by shell. The l = N vectors of each shell are the
+radial ground states (n = 0), the solid harmonics Y_Nm(a†)|0>: the
+stretched state (a_x† + i a_y†)^N |0> is |0, N, N>, L_- = L_x - i L_y
+lowers it to m = 0, and complex conjugation maps |0, N, m> to |0, N, -m>.
+States with n >= 1 are generated by the adjoint of the shell-lowering square,
 
     |n, l, m>  :=  V2† |n-1, l, m> / || V2† |n-1, l, m> ||,
 
@@ -13,7 +14,8 @@ which fixes every phase once the n = 0 vector's phase is fixed. The
 n = 0 convention makes the largest-magnitude Cartesian coefficient real
 positive (ties broken by the lowest basis index among coefficients
 within 1e-9 of the maximum). Under this convention the shift operators
-built downstream act with coefficient exactly +1.
+built downstream act with coefficient exactly +1. Every step preserves
+z-parity, so U is an exact zero wherever (-1)^nz differs from (-1)^(l+m).
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from scipy import sparse
 
 from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, _hash_key
 
-CLUSTER_TOL = 1e-8
 EIGEN_RESIDUAL_TOL = 1e-10
+UNITARY_TOL = 1e-12
 PHASE_TIE_TOL = 1e-9
 
 
 class DegenerateSplitFailure(Exception):
-    """Numerically pathological shell diagonalization or label assignment."""
+    """A column map that is not unitary or whose columns are not eigenvectors of their labels."""
 
 
 @dataclass(frozen=True, order=True)
@@ -137,37 +139,44 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) -> SphericalBasis:
-    """Diagonalize (H, L^2, L_z) and assemble the chain-phased column map.
+    """Assemble the chain-phased column map in closed form, with no eigensolve.
 
     Every column lives on its own shell, so each is built and stored as a
     vector over that shell's Cartesian states only, in the label order of
-    spherical_labels.
+    spherical_labels. The n = 0 columns of shell N are the solid harmonics
+    Y_Nm(a+)|0>: the stretched state (a_x+ + i a_y+)^N |0>, carried up one
+    shell at a time, is |0, N, N>; the sparse L_- = L_x - i L_y lowers it to
+    m = 0, and conjugation gives m < 0. These sparse steps, the raising and
+    the polar step, which couples only columns of one z-parity, keep every
+    entry with (-1)^nz != (-1)^(l+m) an exact zero.
 
-    Raises DegenerateSplitFailure, naming the shell, when the L^2 or L_z
-    eigenvalues of a shell differ by more than 1e-8 from those of its
-    enumerated labels, and when a finished column fails its eigenvector
-    residual check at 1e-10.
+    Raises DegenerateSplitFailure, naming the shell and the operator, when
+    a shell block is not unitary to 1e-12 or a column fails its eigenvector
+    residual check at 1e-10; this is the only check of the labels.
     """
-    l2 = ops.l2.matrix
-    lz = ops.l["z"].matrix
     slices = _shell_slices(basis)
+    # (a_x+ + i a_y+) raises L_z = i(a_y+ a_x - a_x+ a_y) by one, L_- lowers it by one
+    stretch = (ops.adag["x"] + 1j * ops.adag["y"]).matrix
+    lowering = (ops.l["x"] - 1j * ops.l["y"]).matrix
 
     sph = SphericalBasis(basis)
     columns: list = [None] * sph.dim
+    top = np.ones(1, dtype=np.complex128)
     for shell, sel in enumerate(slices):
-        # eigh sorts ascending, as the enumeration's l(l+1), each 2l+1 times
-        want = np.concatenate([np.full(2 * l + 1, l * (l + 1.0)) for l in _admissible_l(shell)])
-        evals, evecs = np.linalg.eigh(l2[sel, sel].toarray())
-        if np.abs(evals - want).max() > CLUSTER_TOL:
-            raise DegenerateSplitFailure(f"shell {shell}: L^2 eigenvalues differ from the label enumeration")
-        # Only l == shell starts a new radial chain; lower l sectors are reached
-        # by raising chains of earlier shells. Its 2 shell + 1 states are the top
-        # L^2 eigenvalues and the last labels of the shell, |0, shell, m> by m.
-        w = evecs[:, -(2 * shell + 1) :]
-        mvals, mvecs = np.linalg.eigh(w.conj().T @ lz[sel, sel].toarray() @ w)
-        if np.abs(mvals - np.arange(-shell, shell + 1)).max() > CLUSTER_TOL:
-            raise DegenerateSplitFailure(f"shell {shell}: L_z eigenvalues differ from m = -{shell}..{shell}")
-        columns[sel.stop - 2 * shell - 1 : sel.stop] = [_fix_phase(w @ col) for col in mvecs.T]
+        if shell:
+            top = stretch[sel, slices[shell - 1]] @ top
+            top /= np.linalg.norm(top)
+        # Lowering only to m = 0 halves the steps, and so the roundoff, of
+        # each seed. L_z is imaginary and L^2 real in this basis, so the
+        # conjugate of |0, N, m> is |0, N, -m> up to a phase.
+        low = lowering[sel, sel]
+        seeds = [top]
+        for _ in range(shell):
+            vec = low @ seeds[-1]
+            seeds.append(vec / np.linalg.norm(vec))
+        seeds = [_fix_phase(vec) for vec in reversed(seeds)]  # m = 0..shell
+        # |0, shell, m> are the shell's last 2 shell + 1 labels, by m
+        columns[sel.stop - 2 * shell - 1 : sel.stop] = [vec.conj() for vec in seeds[:0:-1]] + seeds
 
     v2dag = ops.v2.adjoint().matrix
     # V2+ restricted to shell N -> N + 2, the only block the raising step uses
@@ -204,25 +213,28 @@ def _validate(sph: SphericalBasis, ops: CartesianOperators, params: OscParams):
     """Return (unitary defect, eigenvector residual) of U; raise when either is too large.
 
     Both are measured shell block by shell block: U_N+ U_N against the
-    identity, and each operator applied to the columns of U_N over every row.
+    identity, and H, L^2 and L_z, which preserve shells, applied to the
+    columns of U_N over the shell's own rows. A NaN fails both checks.
     """
-    ortho = max(float(np.abs(u.conj().T @ u - np.eye(len(u))).max()) for u in sph.blocks)
-    if ortho > 1e-12:
-        raise DegenerateSplitFailure(f"column map is not unitary (defect {ortho:.3e})")
+    ortho = 0.0
+    for shell, u in enumerate(sph.blocks):
+        defect = float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+        if not defect <= UNITARY_TOL:
+            raise DegenerateSplitFailure(f"shell {shell}: column map is not unitary (defect {defect:.3e})")
+        ortho = max(ortho, defect)
     energies = params.omega * (sph.shells + 1.5)
     lsq = np.array([lab.l * (lab.l + 1) for lab in sph.labels], dtype=float)
     mvals = np.array([lab.m for lab in sph.labels], dtype=float)
-    resids = []
-    for op, want in ((ops.h, energies), (ops.l2, lsq), (ops.l["z"], mvals)):
-        resid = 0.0
-        for u, sel in zip(sph.blocks, sph.shell_slices):
-            image = op.matrix[:, sel] @ u
-            image[sel] -= u * want[None, sel]
-            resid = max(resid, float(np.abs(image).max()))
-        if resid > EIGEN_RESIDUAL_TOL:
-            raise DegenerateSplitFailure(f"eigenvector residual {resid:.3e} exceeds tolerance")
-        resids.append(resid)
-    return ortho, max(resids)
+    resid = 0.0
+    for name, op, want in (("H", ops.h, energies), ("L^2", ops.l2, lsq), ("L_z", ops.l["z"], mvals)):
+        for shell, (u, sel) in enumerate(zip(sph.blocks, sph.shell_slices)):
+            worst = float(np.abs(op.matrix[sel, sel] @ u - u * want[None, sel]).max())
+            if not worst <= EIGEN_RESIDUAL_TOL:
+                raise DegenerateSplitFailure(
+                    f"shell {shell}: {name} eigenvector residual {worst:.3e} exceeds {EIGEN_RESIDUAL_TOL:.0e}"
+                )
+            resid = max(resid, worst)
+    return ortho, resid
 
 
 def to_spherical(op: OperatorMatrix, sph: SphericalBasis) -> OperatorMatrix:

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscphase.fock
 from oscphase import (
@@ -181,6 +185,45 @@ def test_window_against_larger_truncation():
         b = op_big.toarray()[np.ix_(embed, embed)]
         cols = np.nonzero(small.shells <= op_small.window)[0]
         assert np.abs(a[:, cols] - b[:, cols]).max() < 1e-12
+
+
+_ELEMENTARY = [f"{kind}_{ax}" for kind in ("a", "adag", "r", "p", "l") for ax in AXES] + ["l2", "v2", "h"]
+
+
+@functools.cache
+def _ops_at(n_max):
+    return cartesian_operators(build_basis(n_max), OscParams(1.3, 0.7))
+
+
+def _compose(ops, names, joins):
+    """names[0] joins names[1] joins names[2] ..., evaluated left to right."""
+    terms = []
+    for name in names:
+        kind, _, ax = name.partition("_")
+        terms.append(getattr(ops, kind)[ax] if ax else getattr(ops, kind))
+    out = terms[0]
+    for term, join in zip(terms[1:], joins):
+        out = out @ term if join == "@" else out + term
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_max=st.integers(min_value=4, max_value=6),
+    names=st.lists(st.sampled_from(_ELEMENTARY), min_size=2, max_size=3),
+    joins=st.lists(st.sampled_from(["@", "+"]), min_size=2, max_size=2),
+)
+def test_window_property_of_compositions(n_max, names, joins):
+    """Products and sums act on their declared window as in an n_max + 3 build."""
+    small = _compose(_ops_at(n_max), names, joins)
+    big = _compose(_ops_at(n_max + 3), names, joins)
+    # graded-lex order makes the small basis the first states of the big one;
+    # on the window the big image must also stay on the small basis
+    cols = np.flatnonzero(small.basis.shells <= small.window)
+    want = big.toarray()[:, cols]
+    got = np.zeros_like(want)
+    got[: small.basis.dim] = small.toarray()[:, cols]
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
 
 
 def test_window_algebra_bookkeeping(basis6, ops6):

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from oscphase import (
     spherical_labels,
     to_spherical,
 )
+from oscphase.spherical import _validate
 
 
 def test_label_shell_arithmetic():
@@ -132,12 +134,46 @@ def test_window_metadata_carries_over(sph6, ops6):
 
 
 def test_degenerate_split_failure_on_perturbed_operator(basis6, params, ops6):
-    # shifting L^2 by 1e-3 moves every eigenvalue off l(l+1)
+    # shifting L^2 by 1e-3 moves every eigenvalue off l(l+1), from shell 0 on
     bad = cartesian_operators(basis6, params)
     eye = np.eye(basis6.dim)
     bad.l2 = OperatorMatrix(bad.l2.matrix + 1e-3 * eye, basis6, bad.l2.window, 0, 0)
-    with pytest.raises(DegenerateSplitFailure):
+    with pytest.raises(DegenerateSplitFailure, match=r"shell 0: L\^2 eigenvector residual 1\.000e-03"):
         build_spherical(basis6, params, bad)
+
+
+@pytest.mark.parametrize("scale", [1.001, np.nan])
+def test_validate_names_the_shell_of_a_non_unitary_block(sph6, params, ops6, scale):
+    sph = copy.copy(sph6)
+    sph.blocks = tuple(scale * u if shell == 3 else u for shell, u in enumerate(sph6.blocks))
+    with pytest.raises(DegenerateSplitFailure, match="shell 3: column map is not unitary"):
+        _validate(sph, ops6, params)
+
+
+def test_build_calls_no_eigensolver(basis6, params, ops6, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_spherical called a dense eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    sph = build_spherical(basis6, params, ops6)
+    assert sph.eigen_residual <= 1e-13
+
+
+@pytest.mark.parametrize("n_max", [8, 18])
+def test_column_map_keeps_z_parity_zeros(n_max):
+    # z -> -z multiplies |nx,ny,nz> by (-1)^nz and |n,l,m> by (-1)^(l+m), so
+    # U has no entry, not even roundoff, between states of opposite parity
+    basis, params = build_basis(n_max), OscParams()
+    ops = cartesian_operators(basis, params)
+    sph = build_spherical(basis, params, ops)
+    parity = (sph.orbital + np.array([lab.m for lab in sph.labels])) % 2
+    u = sph.column_map().tocoo()
+    assert np.array_equal(basis.quanta[u.row, 2] % 2, parity[u.col])
+    # so the operators transformed by U couple only labels of equal parity
+    for op in (ops.h, ops.v2):
+        moved = to_spherical(op, sph).matrix.tocoo()
+        assert np.array_equal(parity[moved.row], parity[moved.col])
 
 
 def test_n_max_zero_and_one():
@@ -180,7 +216,8 @@ def test_label_basis_has_no_column_map(basis6, ops6):
 
 
 def test_column_map_unitary_to_working_precision():
-    # the polar step per shell block; without it U+ U - 1 reaches 2.9e-15 here
+    # the polar step per shell block; the closed-form columns reach
+    # U+ U - 1 = 7.8e-16 here before it
     basis, params = build_basis(18), OscParams()
     sph = build_spherical(basis, params, cartesian_operators(basis, params))
     for u in sph.blocks:
@@ -189,7 +226,8 @@ def test_column_map_unitary_to_working_precision():
 
 
 def test_every_check_passes_at_n_max_28():
-    # without the polar step radial_shift_commutator reads 1.05e-12 against 1e-12 here
+    # radial_shift_commutator, the check with the least headroom, reads about
+    # 1e-13 here against 1e-12
     src = os.path.dirname(os.path.dirname(oscphase.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (

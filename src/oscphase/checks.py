@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from ._lazy import sparse
 from .evolution import (
     StateSpec,
     classify_winding,

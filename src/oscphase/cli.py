@@ -83,7 +83,10 @@ def _coerce(name: str, text: str):
     if name in ("mass", "omega", "t_max", "dt"):
         return float(text)
     if name == "n_max_list":
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        if not sizes:
+            raise ValueError("has no entries")
+        return sizes
     if name in ("mode", "state", "out"):
         return text
     raise KeyError(name)

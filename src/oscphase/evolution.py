@@ -23,6 +23,7 @@ period stepping j by one.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -62,11 +63,16 @@ class StateSpec:
                 label = SphericalLabel(*label)
             if lam not in (+1, -1):
                 raise ValueError("lam must be +1 or -1")
+            if not cmath.isfinite(amp):
+                sign = "+" if lam > 0 else "-"
+                raise ValueError(f"state term {label.n},{label.l},{label.m},{sign}: amplitude {amp!r} is not finite")
             out.append((label, int(lam), complex(amp)))
         return cls(tuple(out))
 
     def branch_lambda(self) -> int:
         lams = {lam for _, lam, amp in self.terms if amp != 0}
+        if not lams:
+            raise ValueError("state has zero norm")
         if len(lams) != 1:
             raise ValueError("state must live in a single copy for phase trajectories")
         return lams.pop()
@@ -100,11 +106,21 @@ def energies(doubled: DoubledBasis, params: OscParams) -> np.ndarray:
 
 
 def state_vector(spec: StateSpec, doubled: DoubledBasis) -> np.ndarray:
+    """The normalized vector of spec over the doubled labels.
+
+    The amplitudes are first scaled by a power of two, which is exact, so
+    that their largest real or imaginary part lies in [1/2, 1): the sum of
+    squares then neither overflows near the float maximum nor underflows
+    for tiny amplitudes, and the normalized vector is the same bits at
+    any scale that needs neither.
+    """
+    top = max((max(abs(amp.real), abs(amp.imag)) for _, _, amp in spec.terms), default=0.0)
+    shift = -math.frexp(top)[1]
     vec = np.zeros(doubled.dim, dtype=np.complex128)
     for label, lam, amp in spec.terms:
         if label not in doubled.spherical.index:
             raise ValueError(f"label {label} is not in the truncated basis")
-        vec[doubled.index(label, lam)] += amp
+        vec[doubled.index(label, lam)] += complex(math.ldexp(amp.real, shift), math.ldexp(amp.imag, shift))
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ValueError("state has zero norm")
@@ -166,18 +182,18 @@ def winding_interval(j: int, sigma: str, branch: str) -> tuple[float, float]:
     return (k * math.pi, (k + 1) * math.pi)
 
 
-def spectral_components(shells, amps, op_csr) -> tuple[np.ndarray, np.ndarray]:
+def spectral_components(shells, amps, rows, cols, vals) -> tuple[np.ndarray, np.ndarray]:
     """Shell displacements D and coefficients C_D of <psi(t)| A |psi(t)>.
 
-    With psi(t) = exp(-i w (shells + 3/2) t) amps, the expectation equals
-    sum_D C_D exp(i D w t); C_D sums conj(a_i) A_ij a_j over the stored
-    entries of A with shells[i] - shells[j] = D, in one O(nnz) pass.
+    A is given by its stored entries A[rows[k], cols[k]] = vals[k]. With
+    psi(t) = exp(-i w (shells + 3/2) t) amps, the expectation equals
+    sum_D C_D exp(i D w t); C_D sums conj(a_i) A_ij a_j over the entries
+    with shells[i] - shells[j] = D, in entry order, in one O(nnz) pass.
     """
-    coo = op_csr.tocoo()
     shells = np.asarray(shells, dtype=np.int64)
     amps = np.asarray(amps, dtype=np.complex128)
-    weights = np.conj(amps[coo.row]) * coo.data * amps[coo.col]
-    deltas, which = np.unique(shells[coo.row] - shells[coo.col], return_inverse=True)
+    weights = np.conj(amps[rows]) * vals * amps[cols]
+    deltas, which = np.unique(shells[rows] - shells[cols], return_inverse=True)
     coeffs = np.bincount(which, weights.real) + 1j * np.bincount(which, weights.imag)
     return deltas, coeffs
 
@@ -246,7 +262,8 @@ def phase_trajectory(
                 f"label {label} sits outside the trajectory window (2n+l <= n_max-2)"
             )
     vec = state_vector(spec, doubled)
-    deltas, coeffs = spectral_components(doubled.shells, vec, pset.exp_plus.matrix)
+    rows, cols = pset.exp_entries  # every stored entry of E is 1
+    deltas, coeffs = spectral_components(doubled.shells, vec, rows, cols, np.ones(rows.size, dtype=np.complex128))
     exp_plus = expectation_series(deltas, coeffs, params.omega, t_grid)
 
     if abs(exp_plus[0]) < PHASE_MODULUS_TOL:

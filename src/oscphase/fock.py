@@ -18,7 +18,8 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+
+from ._lazy import sparse
 
 HBAR = 1.0
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
+from ._lazy import sparse
 from .fock import OperatorMatrix, _hash_key
 
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy import sparse
 
+from ._lazy import sparse
 from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, _hash_key, build_basis
 from .fock import cartesian_operators, identity as cart_identity, op_norm_1
 from .spherical import DegenerateSplitFailure, SphericalBasis, build_spherical, to_spherical
@@ -145,69 +145,115 @@ def radial_shift_pair(sph: SphericalBasis, params: OscParams, norm_diag: np.ndar
     return down, down.adjoint()
 
 
+class _field:
+    """A PhaseOperatorSet field, built by the decorated method on first read.
+
+    A shared field does not depend on the edge mode: it is kept in a store
+    that the open set hands on to the cyclic set derived from it. Every
+    other field is kept in a store of the set's own.
+    """
+
+    def __init__(self, build, shared: bool = False):
+        self.build, self.shared = build, shared
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, pset, owner=None):
+        if pset is None:
+            return self
+        store = pset._shared if self.shared else pset._own
+        if self.name not in store:
+            store[self.name] = self.build(pset)
+        return store[self.name]
+
+
+_shared_field = partial(_field, shared=True)
+
+
+def _row_major(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (row, col) positions in the order a CSR matrix stores them."""
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
+
+
 class PhaseOperatorSet:
     """Doubled-space phase operators for one truncation and edge mode.
 
-    Fields: down/up (radial shift pair embedded on both copies), sign,
-    exchange, exp_plus/exp_minus (the unitary phase exponential and its
-    adjoint), cos2/sin2, sqrt_norm (B^(1/2) over the single copy) and
-    norm_diag (the diagonal of B), all built from the spherical labels.
-    The constructor builds the open set; cyclic() derives the cyclic one.
-    Instances are immutable; share them freely across threads.
+    Fields: down/up (radial shift pair embedded on both copies) and
+    down_single/up_single (on one copy), sign, exchange, exp_plus/exp_minus
+    (the unitary phase exponential and its adjoint), cos2/sin2 and sqrt_norm
+    (B^(1/2) over the single copy), all built from the spherical labels on
+    first read. norm_diag (the diagonal of B) and exp_entries, the (rows,
+    cols) of the stored entries of exp_plus in CSR order, each equal to 1,
+    are arrays built with the set. The constructor makes the open set;
+    cyclic() derives the cyclic one, which shares every mode-independent
+    field with it. A set never changes a field once built; two threads
+    reading an unbuilt field at once may each build it, with equal results.
     """
 
     def __init__(self, sph: SphericalBasis, params: OscParams):
         self.spherical = sph
         self.params = params
         self.mode = "open"
-        self.doubled = DoubledBasis(sph)
-        d = self.doubled
-        lower, upper = sph.links
+        self.doubled = d = DoubledBasis(sph)
         n, l = sph.radial, sph.orbital
-
         w = params.omega
         self.norm_diag = (w * w) * ((2.0 * n + 2) * (2.0 * n + 2 * l + 3))
-        self.down_single = _unit_entries(sph, lower, upper, sph.n_max, -2, -2)
-        self.up_single = self.down_single.adjoint()
-        self.down = d.embed(self.down_single)
-        self.up = d.embed(self.up_single)
-        self.sqrt_norm = OperatorMatrix(
-            sparse.diags(np.sqrt(self.norm_diag).astype(np.complex128)), sph, sph.n_max, 0, 0
-        )
-        self.sign = sign_operator(d)
-        self.exchange = exchange_operator(d)
-
-        # the chain dyadic: down the plus copy, across the vacuum link, up the
-        # minus copy; (window, lo, hi) as the projector formula composes them
+        self._shared: dict = {}
+        self._own: dict = {}
+        # the chain dyadic: down the plus copy, across the vacuum link, up the minus copy
+        lower, upper = sph.links
         bottoms, single = np.flatnonzero(sph.radial == 0), d.dim_single
-        rows = np.concatenate([lower, upper + single, bottoms + single])
-        cols = np.concatenate([upper, lower + single, bottoms])
-        self._set_exponential(_unit_entries(d, rows, cols, d.n_max - 2, -2, 2))
+        self.exp_entries = _row_major(
+            np.concatenate([lower, upper + single, bottoms + single]),
+            np.concatenate([upper, lower + single, bottoms]),
+        )
 
-    def _set_exponential(self, e2: OperatorMatrix) -> None:
+    down_single = _shared_field(lambda self: _unit_entries(self.spherical, *self.spherical.links, self.spherical.n_max, -2, -2))
+    up_single = _shared_field(lambda self: self.down_single.adjoint())
+    down = _shared_field(lambda self: self.doubled.embed(self.down_single))
+    up = _shared_field(lambda self: self.doubled.embed(self.up_single))
+    sign = _shared_field(lambda self: sign_operator(self.doubled))
+    exchange = _shared_field(lambda self: exchange_operator(self.doubled))
+
+    @_shared_field
+    def sqrt_norm(self) -> OperatorMatrix:
+        sph = self.spherical
+        return OperatorMatrix(sparse.diags(np.sqrt(self.norm_diag).astype(np.complex128)), sph, sph.n_max, 0, 0)
+
+    @_field
+    def exp_plus(self) -> OperatorMatrix:
+        # (window, lo, hi) as the projector formula composes them
         d = self.doubled
-        self.exp_plus = e2
+        return _unit_entries(d, *self.exp_entries, d.n_max - 2, -2, 2)
+
+    @_field
+    def exp_minus(self) -> OperatorMatrix:
         # The adjoint rule is conservative for this composite; the defect
         # columns of the adjoint sit on the plus-branch chain tops, shells
         # >= n_max - 1, so the mirror window n_max - 2 is justified.
-        self.exp_minus = e2.adjoint().with_window(d.n_max - 2, -2, 2)
-        self.cos2 = 0.5 * (self.exp_plus + self.exp_minus)
-        self.sin2 = (-0.5j) * (self.exp_plus - self.exp_minus)
+        return self.exp_plus.adjoint().with_window(self.doubled.n_max - 2, -2, 2)
+
+    cos2 = _field(lambda self: 0.5 * (self.exp_plus + self.exp_minus))
+    sin2 = _field(lambda self: (-0.5j) * (self.exp_plus - self.exp_minus))
 
     def cyclic(self) -> "PhaseOperatorSet":
         """The cyclic set: this open set with each chain's plus top wrapped onto its minus top.
 
-        Every mode-independent field is shared with this set; only the
-        exponential and its trigonometric pair are new.
+        Every mode-independent field is shared with this set, built or not;
+        the exponential and its trigonometric pair are the cyclic set's own.
         """
         if self.mode != "open":
             raise ValueError("only an open phase set can be closed cyclically")
         d = self.doubled
         tops = np.flatnonzero(self.spherical.shells > d.n_max - 2)  # chain tops: 2n + l >= n_max - 1
-        wrap = _unit_entries(d, tops, tops + d.dim_single, d.n_max - 2, 0, 0)  # |top,+><top,-|
+        rows, cols = self.exp_entries
         cyc = copy.copy(self)
         cyc.mode = "cyclic"
-        cyc._set_exponential(self.exp_plus + wrap)
+        cyc._own = {}
+        # the wrap |top,+><top,-| of every chain
+        cyc.exp_entries = _row_major(np.concatenate([rows, tops]), np.concatenate([cols, tops + d.dim_single]))
         return cyc
 
     # -- projectors ----------------------------------------------------------

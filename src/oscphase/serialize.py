@@ -18,8 +18,8 @@ preceded by one `label <pos> <n> <l> <m>` line per basis state.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
+from ._lazy import sparse
 from .fock import OperatorMatrix
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from ._lazy import sparse
 from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, _hash_key
 
 EIGEN_RESIDUAL_TOL = 1e-10

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -242,10 +247,63 @@ def test_verify_cyclic_flag(capsys):
         ["unitarity-scan", "--n-max-list", "2,-1"],
         ["trajectory", "--dt", "1e-300"],
         ["trajectory", "--t-max", "1e308", "--dt", "1e-300"],
+        ["trajectory", "--state", "0,0,0,+ : nan"],
+        ["trajectory", "--state", "0,0,0,+ : 1 ; 1,0,0,+ : inf"],
     ],
 )
 def test_bad_numbers_exit_two(argv, capsys, monkeypatch):
     # rejected before any build
     monkeypatch.setattr(cli, "build_model", None, raising=False)
     assert run_cli(argv) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if "--state" in argv:
+        assert "state term" in err and "is not finite" in err
+
+
+@pytest.mark.parametrize("scale", ["1e308", "1e-200"])
+def test_trajectory_amplitude_scale(scale, tmp_path):
+    # the normalized state, and so every CSV byte, does not depend on the
+    # scale of the amplitudes, even where their squares overflow or underflow
+    common = ["trajectory", "--n-max", "6", "--t-max", "3", "--dt", "0.1"]
+    want, got = tmp_path / "unit.csv", tmp_path / "scaled.csv"
+    assert run_cli(common + ["--state", "0,0,0,+ : 1 ; 1,0,0,+ : 1", "--out", str(want)]) == 0
+    state = "0,0,0,+ : %s ; 1,0,0,+ : %s" % (scale, scale)
+    assert run_cli(common + ["--state", state, "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_zero_state_exits_two(capsys):
+    assert run_cli(["trajectory", "--state", "0,0,0,+ : 0 ; 1,0,0,- : 0"]) == 2
+    assert "state has zero norm" in capsys.readouterr().err
+
+
+def test_empty_n_max_list_exits_two(tmp_path, capsys):
+    # an empty list is an error, not a scan of the default n_max
+    assert run_cli(["unitarity-scan", "--n-max-list", ","]) == 2
+    assert "--n-max-list: has no entries" in capsys.readouterr().err
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("n_max_list =\n")
+    assert run_cli(["unitarity-scan", "--config", str(cfg)]) == 2
+    assert "scan.cfg:1: bad value for n_max_list: has no entries" in capsys.readouterr().err
+
+
+def test_label_commands_load_no_sparse_stack(tmp_path):
+    # trajectory and spectrum read labels alone and must not pay the import
+    # of scipy.sparse, which costs more than numpy's; verify builds sparse operators
+    code = textwrap.dedent(
+        """
+        import sys
+        from oscphase.cli import main
+        out = sys.argv[1]
+        for mode in ("open", "cyclic"):
+            assert main(["trajectory", "--n-max", "6", "--t-max", "1", "--mode", mode, "--out", out]) == 0
+        assert main(["spectrum", "--out", out]) == 0
+        assert "scipy.sparse._base" not in sys.modules, "scipy.sparse was loaded"
+        assert main(["verify", "--n-max", "2", "--out", out]) == 0
+        assert "scipy.sparse._base" in sys.modules
+        """
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env, check=True, timeout=300)

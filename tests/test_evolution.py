@@ -92,6 +92,8 @@ def test_state_vector_errors(pset6_open):
         state_vector(StateSpec.of([((0, 9, 0), +1, 1.0)]), pset6_open.doubled)
     with pytest.raises(ValueError):
         StateSpec.of([((0, 0, 0), 2, 1.0)])
+    with pytest.raises(ValueError, match="state term 1,0,0,-: amplitude .*nan.* is not finite"):
+        StateSpec.of([((0, 0, 0), -1, 1.0), ((1, 0, 0), -1, complex(0.0, np.nan))])
 
 
 def test_classify_winding_frozen_examples():

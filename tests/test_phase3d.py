@@ -371,3 +371,40 @@ def test_cyclic_set_shares_the_open_build(params):
     assert cyc.exp_plus is not opn.exp_plus
     with pytest.raises(ValueError):
         cyc.cyclic()
+
+
+def _built(pset) -> set:
+    """The names of the phase-set fields built so far."""
+    return set(pset._shared) | set(pset._own)
+
+
+def test_commands_build_only_the_fields_they_read(params, monkeypatch, tmp_path):
+    from oscphase import cli
+
+    sets = []
+
+    def recording(*args):
+        model = build_model(*args)
+        sets.extend(model.psets.values())
+        return model
+
+    monkeypatch.setattr(cli, "build_model", recording)
+    out = str(tmp_path / "out")
+    for mode in ("open", "cyclic"):
+        assert cli.main(["trajectory", "--n-max", "6", "--t-max", "1", "--mode", mode, "--out", out]) == 0
+    assert len(sets) == 2 and all(_built(p) == set() for p in sets)
+    sets.clear()
+    assert cli.main(["unitarity-scan", "--n-max-list", "0,2,6", "--out", out]) == 0
+    assert len(sets) == 6 and all(_built(p) == {"exp_plus", "exp_minus"} for p in sets)
+
+
+@pytest.mark.parametrize("field", ["exp_minus", "cos2", "sin2"])
+def test_cyclic_set_does_not_inherit_the_open_exponential(field, params):
+    opn = build_model(6, params, ("open",)).psets["open"]
+    opened = getattr(opn, field)
+    cyc = opn.cyclic()
+    assert _built(cyc) == _built(opn) - {"exp_plus", "exp_minus", "cos2", "sin2"}
+    fresh = build_model(6, params, ("cyclic",)).psets["cyclic"]
+    assert getattr(cyc, field) is not opened
+    assert abs(getattr(cyc, field).matrix - getattr(fresh, field).matrix).max() == 0.0
+    assert abs(getattr(cyc, field).matrix - opened.matrix).max() > 0.0  # the wrap entries

@@ -42,8 +42,14 @@ def reference_sweep(e, amps, op, times):
     return out
 
 
+def entries(op):
+    """(rows, cols, vals) of the stored entries of a sparse matrix, in CSR order."""
+    coo = op.tocoo()
+    return coo.row, coo.col, coo.data
+
+
 def spectral_sweep(shells, amps, op, times, omega):
-    deltas, coeffs = spectral_components(shells, amps, op)
+    deltas, coeffs = spectral_components(shells, amps, *entries(op))
     return expectation_series(deltas, coeffs, omega, times)
 
 
@@ -62,7 +68,7 @@ def test_spectral_matches_reference_on_long_grid():
 
 def test_components_group_by_shell_displacement():
     shells, amps, op, _ = random_problem(dim=25, seed=5)
-    deltas, coeffs = spectral_components(shells, amps, op)
+    deltas, coeffs = spectral_components(shells, amps, *entries(op))
     dense = op.toarray()
     assert np.array_equal(deltas, np.unique(np.subtract.outer(shells, shells)[dense != 0]))
     for delta, c in zip(deltas, coeffs):
@@ -85,7 +91,7 @@ def test_multi_component_operators_on_two_copy_state(mode, pset6_open, pset6_cyc
         assert np.abs(got - reference_sweep(e, amps, op.matrix, times)).max() < 1e-12
     # the vacuum link between the copies (and the wrap in cyclic mode)
     # adds a static D = 0 component to the two chain rotations
-    deltas, coeffs = spectral_components(doubled.shells, amps, pset.cos2.matrix)
+    deltas, coeffs = spectral_components(doubled.shells, amps, *entries(pset.cos2.matrix))
     assert list(deltas[np.abs(coeffs) > 1e-8]) == [-2, 0, 2]
 
 
@@ -95,14 +101,30 @@ def test_single_copy_state_has_one_component(mode, lam, pset6_open, pset6_cyclic
     pset = pset6_open if mode == "open" else pset6_cyclic
     spec = StateSpec.of([(lab, lam, amp) for lab, _, amp in TWO_LEVEL])
     vec = state_vector(spec, pset.doubled)
-    deltas, coeffs = spectral_components(pset.doubled.shells, vec, pset.exp_plus.matrix)
+    deltas, coeffs = spectral_components(pset.doubled.shells, vec, *entries(pset.exp_plus.matrix))
     assert list(deltas[coeffs != 0]) == [-2 * lam]
     assert abs(coeffs[deltas == -2 * lam][0] - 0.5) < 1e-14
 
 
+@pytest.mark.parametrize("mode", ["open", "cyclic"])
+def test_entry_arrays_match_matrix_route(mode, params):
+    # phase_trajectory reads E's stored entries from the index arrays of a
+    # fresh set, with no matrix built; the sums must match the matrix's bitwise
+    pset = oscphase.build_model(8, params, (mode,)).psets[mode]
+    rows, cols = pset.exp_entries
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=pset.doubled.dim) + 1j * rng.normal(size=pset.doubled.dim)
+    got = spectral_components(pset.doubled.shells, amps, rows, cols, np.ones(rows.size, dtype=np.complex128))
+    assert "exp_plus" not in pset._own
+    want = spectral_components(pset.doubled.shells, amps, *entries(pset.exp_plus.matrix))
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 def test_multi_component_series_rejected(pset6_open, params):
-    # a stand-in set whose "exponential" is cos2 rotates both ways on H_+
-    fake = SimpleNamespace(doubled=pset6_open.doubled, exp_plus=pset6_open.cos2)
+    # a stand-in set whose "exponential" E + E+ rotates both ways on H_+
+    rows, cols, _ = entries(pset6_open.cos2.matrix)
+    fake = SimpleNamespace(doubled=pset6_open.doubled, exp_entries=(rows, cols))
     with pytest.raises(UnwrapAmbiguity, match="2 spectral components.*D=-2.*D=2"):
         phase_trajectory(StateSpec.of(TWO_LEVEL), [0.0, 0.1], params, fake)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lazy import sparse
 from .evolution import (
     StateSpec,
     classify_winding,
@@ -30,6 +29,7 @@ from .fock import (
     OperatorMatrix,
     OscParams,
     commutator,
+    diagonal,
     hamiltonian,
     identity,
     op_norm_1,
@@ -364,7 +364,7 @@ def _phase1d_checks(ctx: Model) -> list[CheckReport]:
             dd.window,
             max(
                 residual_on_window(dd),
-                op_norm_1((up @ down - ident).matrix + _vacuum_1d(nb)),
+                op_norm_1(up @ down - ident + diagonal(nb, nb.shells == 0)),
             ),
             TOL_UNITARY,
         )
@@ -390,10 +390,7 @@ def _phase1d_checks(ctx: Model) -> list[CheckReport]:
         out.append(CheckReport("doubled_chain_1d", law, mode, chain.n_max, resid, TOL_UNITARY))
 
         h = hamiltonian_1d(chain, ctx.ops.params.omega)
-        plus = np.zeros(chain.dim)
-        for n in range(chain.n_max + 1):
-            plus[chain.position_of(n, +1)] = 1.0
-        p_plus = _diag_projector(chain, plus)
+        p_plus = diagonal(chain, np.arange(chain.dim) > chain.n_max)  # positions of |n, +>
         law_op = p_plus @ (commutator(h, shift) + ctx.ops.params.omega * shift) @ p_plus
         out.append(
             CheckReport(
@@ -406,16 +403,6 @@ def _phase1d_checks(ctx: Model) -> list[CheckReport]:
             )
         )
     return out
-
-
-def _vacuum_1d(nb: NumberBasis1D):
-    return sparse.coo_matrix(([1.0], ([0], [0])), shape=(nb.dim, nb.dim)).tocsr()
-
-
-def _diag_projector(basis, diag):
-    return OperatorMatrix(
-        sparse.diags(np.asarray(diag, dtype=np.complex128)), basis, basis.n_max, 0, 0
-    )
 
 
 # -- 3d phase -----------------------------------------------------------------
@@ -448,8 +435,8 @@ def _phase3d_checks(
         )
 
         ident_s = identity(sph)
-        vac = _diag_projector(sph, sph.radial == 0)
-        top = _diag_projector(sph, sph.shells > sph.n_max - 2)  # the chain tops
+        vac = diagonal(sph, sph.radial == 0)
+        top = diagonal(sph, sph.shells > sph.n_max - 2)  # the chain tops
         s_up = pset.up_single
         resid = max(
             op_norm_1(s_up @ s - ident_s + vac),

@@ -14,14 +14,11 @@ so derived identities always know on which block they are trustworthy.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._lazy import sparse
-
-HBAR = 1.0
 
 
 @dataclass(frozen=True)
@@ -65,14 +62,10 @@ class Basis3D:
         self.quanta = np.array(states, dtype=np.int64).reshape(-1, 3)
         self.shells = self.quanta.sum(axis=1)
         self.dim = len(states)
-        self.key = _hash_key(f"cart3d/v1/n_max={self.n_max}/graded-lex")
+        self.key = f"cart3d/v1/n_max={self.n_max}/graded-lex"
 
     def __repr__(self):
         return f"Basis3D(n_max={self.n_max}, dim={self.dim})"
-
-
-def _hash_key(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def build_basis(n_max: int) -> Basis3D:
@@ -168,11 +161,6 @@ class OperatorMatrix:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def restricted(self, window: int | None = None):
-        """Matrix times the projector onto shells <= window (defaults to own window)."""
-        w = self.window if window is None else window
-        return self.matrix @ shell_projector(self.basis, w)
-
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
@@ -184,33 +172,32 @@ class OperatorMatrix:
         )
 
 
+def diagonal(basis, values) -> OperatorMatrix:
+    """The diagonal operator with the given entries, one per basis state; it
+    keeps every shell, so it is exact on all of them."""
+    return OperatorMatrix(sparse.diags(np.asarray(values, dtype=np.complex128)), basis, basis.n_max, 0, 0)
+
+
 def identity(basis) -> OperatorMatrix:
-    return OperatorMatrix(sparse.identity(basis.dim, format="csr"), basis, basis.n_max, 0, 0)
-
-
-def shell_projector(basis, window: int):
-    """Sparse projector onto basis states with total quanta <= window."""
-    keep = (basis.shells <= window).astype(np.complex128)
-    return sparse.diags(keep, format="csr")
+    return diagonal(basis, np.ones(basis.dim))
 
 
 def op_norm_1(a) -> float:
-    """Operator norm induced by the vector 1-norm: max column abs sum."""
+    """Operator norm induced by the vector 1-norm: max column abs sum.
+
+    a is an OperatorMatrix or a scipy sparse matrix.
+    """
     if isinstance(a, OperatorMatrix):
         a = a.matrix
-    if sparse.issparse(a):
-        if a.nnz == 0:
-            return 0.0
-        return float(abs(a).sum(axis=0).max())
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).sum(axis=0).max())
+    return float(abs(a).sum(axis=0).max())
 
 
 def residual_on_window(op: OperatorMatrix, window: int | None = None) -> float:
-    """1-norm of the operator restricted to inputs on shells <= window."""
-    return op_norm_1(op.restricted(window))
+    """1-norm of the operator restricted to inputs on shells <= window
+    (defaults to its own window): the largest column abs sum over the
+    columns of those shells."""
+    keep = op.basis.shells <= (op.window if window is None else window)
+    return float(np.asarray(abs(op.matrix).sum(axis=0)).ravel()[keep].max(initial=0.0))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -240,11 +227,6 @@ def ladder(basis: Basis3D, axis: str) -> OperatorMatrix:
     return OperatorMatrix(m, basis, window=basis.n_max, lo=-1, hi=-1)
 
 
-def raising(basis: Basis3D, axis: str) -> OperatorMatrix:
-    """Creation operator, exact on shells N <= n_max - 1."""
-    return ladder(basis, axis).adjoint()
-
-
 def _position(a: OperatorMatrix, params: OscParams) -> OperatorMatrix:
     return (a + a.adjoint()) * (1.0 / np.sqrt(2.0 * params.mass * params.omega))
 
@@ -253,20 +235,9 @@ def _momentum(a: OperatorMatrix, params: OscParams) -> OperatorMatrix:
     return (a.adjoint() - a) * (1j * np.sqrt(params.mass * params.omega / 2.0))
 
 
-def position(basis: Basis3D, axis: str, params: OscParams) -> OperatorMatrix:
-    """r_j = (a_j + a_j†) / sqrt(2 M w)."""
-    return _position(ladder(basis, axis), params)
-
-
-def momentum(basis: Basis3D, axis: str, params: OscParams) -> OperatorMatrix:
-    """p_j = i sqrt(M w / 2) (a_j† - a_j)."""
-    return _momentum(ladder(basis, axis), params)
-
-
 def hamiltonian(basis: Basis3D, params: OscParams) -> OperatorMatrix:
     """H = w (N + 3/2), diagonal in the number basis, exact on every shell."""
-    diag = params.omega * (basis.shells + 1.5)
-    return OperatorMatrix(sparse.diags(diag.astype(np.complex128)), basis, basis.n_max, 0, 0)
+    return diagonal(basis, params.omega * (basis.shells + 1.5))
 
 
 def _angular_momentum(a: dict[str, OperatorMatrix], axis: str) -> OperatorMatrix:
@@ -275,26 +246,11 @@ def _angular_momentum(a: dict[str, OperatorMatrix], axis: str) -> OperatorMatrix
     return 1j * (aj.adjoint() @ ai - ai.adjoint() @ aj)
 
 
-def angular_momentum(basis: Basis3D, axis: str) -> OperatorMatrix:
-    """L_k = eps_kij r_i p_j in its normal-ordered ladder form.
-
-    L_x = i(a_z† a_y - a_y† a_z) and cyclic. This form is the exact
-    truncation (window n_max); multiplying truncated r and p matrices
-    instead is exact only one shell lower.
-    """
-    return _angular_momentum({ax: ladder(basis, ax) for ax in AXES}, axis)
-
-
 def _dot_square(comps) -> OperatorMatrix:
     total = comps[0] @ comps[0]
     for c in comps[1:]:
         total = total + c @ c
     return total
-
-
-def l_squared(basis: Basis3D) -> OperatorMatrix:
-    a = {ax: ladder(basis, ax) for ax in AXES}
-    return _dot_square([_angular_momentum(a, ax) for ax in AXES])
 
 
 def _vector_ladder(a: OperatorMatrix, r: OperatorMatrix, p: OperatorMatrix, params: OscParams):
@@ -306,25 +262,14 @@ def _vector_ladder(a: OperatorMatrix, r: OperatorMatrix, p: OperatorMatrix, para
     return ref.with_window(a.basis.n_max, -1, -1)
 
 
-def vector_ladder(basis: Basis3D, axis: str, params: OscParams) -> OperatorMatrix:
-    """The combination p_j - i M w r_j, built from the p and r matrices.
-
-    Algebraically this equals -i sqrt(2 M w) a_j, a pure lowering operator.
-    The construction verifies that entrywise, then returns the verified
-    lowering form so the raising parts cancel exactly rather than to
-    roundoff; the window promotion to the full n_max is never assumed.
-    """
-    a = ladder(basis, axis)
-    return _vector_ladder(a, _position(a, params), _momentum(a, params), params)
-
-
 def vector_ladder_squared(basis: Basis3D, params: OscParams) -> OperatorMatrix:
     """Dot square of the vector ladder; lowers total quanta by exactly 2.
 
     Commutes with every L_k, so it preserves (l, m) and steps the radial
     quantum number down by one inside each partial wave.
     """
-    return _dot_square([vector_ladder(basis, ax, params) for ax in AXES])
+    a = [ladder(basis, ax) for ax in AXES]
+    return _dot_square([_vector_ladder(x, _position(x, params), _momentum(x, params), params) for x in a])
 
 
 class CartesianOperators:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lazy import sparse
-from .fock import OperatorMatrix, _hash_key
+from .fock import OperatorMatrix, diagonal
 
 
 class NumberBasis1D:
@@ -31,7 +31,7 @@ class NumberBasis1D:
         self.n_max = int(n_max)
         self.dim = n_max + 1
         self.shells = np.arange(self.dim, dtype=np.int64)
-        self.key = _hash_key(f"number1d/v1/n_max={self.n_max}")
+        self.key = f"number1d/v1/n_max={self.n_max}"
 
 
 def ladder_1d(basis: NumberBasis1D) -> OperatorMatrix:
@@ -46,11 +46,7 @@ def number_shift_pair(basis: NumberBasis1D):
     operator directly, never through a generic matrix function.
     """
     a = ladder_1d(basis)
-    inv_sqrt = OperatorMatrix(
-        sparse.diags(1.0 / np.sqrt(np.arange(1, basis.dim + 1, dtype=float))),
-        basis,
-        window=basis.n_max,
-    )
+    inv_sqrt = diagonal(basis, 1.0 / np.sqrt(np.arange(1, basis.dim + 1, dtype=float)))
     down = inv_sqrt @ a
     return down, down.adjoint()
 
@@ -75,33 +71,23 @@ class Chain1D:
         if self.mode not in ("open", "cyclic"):
             raise ValueError("mode must be 'open' or 'cyclic'")
         object.__setattr__(self, "dim", 2 * (self.n_max + 1))
-        object.__setattr__(
-            self, "key", _hash_key(f"chain1d/v1/n_max={self.n_max}/mode={self.mode}")
-        )
-
-    @property
-    def k_values(self):
-        return range(-(self.n_max + 1), self.n_max + 1)
-
-    def position(self, k: int) -> int:
-        if not -(self.n_max + 1) <= k <= self.n_max:
-            raise ValueError(f"k={k} outside the chain")
-        return k + self.n_max + 1
+        object.__setattr__(self, "key", f"chain1d/v1/n_max={self.n_max}/mode={self.mode}")
 
     def position_of(self, n: int, lam: int) -> int:
         """Position of |n, +> (lam=+1) or |n, -> (lam=-1)."""
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n={n} outside the chain")
-        return self.position(n if lam > 0 else -n - 1)
+        return self.n_max + 1 + (n if lam > 0 else -n - 1)
 
     @property
     def shells(self):
-        return np.array([k if k >= 0 else -k - 1 for k in self.k_values], dtype=np.int64)
+        n = np.arange(self.n_max + 1, dtype=np.int64)
+        return np.concatenate([n[::-1], n])
 
     @property
     def ends(self):
         """Positions of the two chain endpoints |n_max,-> and |n_max,+>."""
-        return (self.position_of(self.n_max, -1), self.position_of(self.n_max, +1))
+        return (0, self.dim - 1)
 
 
 def doubled_shift_1d(chain: Chain1D) -> OperatorMatrix:
@@ -123,16 +109,9 @@ def doubled_shift_1d(chain: Chain1D) -> OperatorMatrix:
 
 def hamiltonian_1d(chain: Chain1D, omega: float) -> OperatorMatrix:
     """w (n + 1/2), acting identically on both copies."""
-    diag = omega * (chain.shells + 0.5)
-    return OperatorMatrix(sparse.diags(diag.astype(np.complex128)), chain, chain.n_max, 0, 0)
+    return diagonal(chain, omega * (chain.shells + 0.5))
 
 
 def edge_projectors(chain: Chain1D):
     """Rank-one projectors on the two chain endpoints (minus end, plus end)."""
-    left, right = chain.ends
-    p_left = sparse.coo_matrix(([1.0], ([left], [left])), shape=(chain.dim, chain.dim))
-    p_right = sparse.coo_matrix(([1.0], ([right], [right])), shape=(chain.dim, chain.dim))
-    return (
-        OperatorMatrix(p_left, chain, chain.n_max, 0, 0),
-        OperatorMatrix(p_right, chain, chain.n_max, 0, 0),
-    )
+    return tuple(diagonal(chain, np.arange(chain.dim) == end) for end in chain.ends)

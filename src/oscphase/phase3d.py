@@ -30,8 +30,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from ._lazy import sparse
-from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, _hash_key, build_basis
-from .fock import cartesian_operators, identity as cart_identity, op_norm_1
+from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, build_basis
+from .fock import cartesian_operators, diagonal, identity, op_norm_1
 from .spherical import DegenerateSplitFailure, SphericalBasis, build_spherical, to_spherical
 
 NORM_OFFDIAG_TOL = 1e-10
@@ -55,7 +55,7 @@ class DoubledBasis:
         self.dim = 2 * sph.dim
         self.n_max = sph.n_max
         self.shells = np.concatenate([sph.shells, sph.shells])
-        self.key = _hash_key(f"doubled/v1/{sph.key}")
+        self.key = f"doubled/v1/{sph.key}"
 
     def index(self, label, lam: int) -> int:
         base = self.spherical.index[label]
@@ -86,10 +86,7 @@ def _unit_entries(basis, rows, cols, window: int, lo: int, hi: int) -> OperatorM
 
 def sign_operator(doubled: DoubledBasis) -> OperatorMatrix:
     """Diagonal +1 on H_+, -1 on H_-."""
-    diag = np.concatenate(
-        [np.ones(doubled.dim_single), -np.ones(doubled.dim_single)]
-    ).astype(np.complex128)
-    return OperatorMatrix(sparse.diags(diag), doubled, doubled.n_max, 0, 0)
+    return diagonal(doubled, np.repeat([1.0, -1.0], doubled.dim_single))
 
 
 def exchange_operator(doubled: DoubledBasis) -> OperatorMatrix:
@@ -99,9 +96,7 @@ def exchange_operator(doubled: DoubledBasis) -> OperatorMatrix:
 
 
 def doubled_identity(doubled: DoubledBasis) -> OperatorMatrix:
-    return OperatorMatrix(
-        sparse.identity(doubled.dim, format="csr"), doubled, doubled.n_max, 0, 0
-    )
+    return identity(doubled)
 
 
 def normalization_bracket(sph: SphericalBasis, params: OscParams, ops) -> np.ndarray:
@@ -111,12 +106,12 @@ def normalization_bracket(sph: SphericalBasis, params: OscParams, ops) -> np.nda
     off-diagonal below 1e-10) and strictly positive.
     """
     w = params.omega
-    h_shift = ops.h + w * cart_identity(sph.cart)
-    bracket = h_shift @ h_shift - (w * w) * (ops.l2 + 0.25 * cart_identity(sph.cart))
-    b_sph = to_spherical(bracket, sph).matrix
-    on_diag = b_sph.diagonal()
+    h_shift = ops.h + w * identity(sph.cart)
+    bracket = h_shift @ h_shift - (w * w) * (ops.l2 + 0.25 * identity(sph.cart))
+    b_sph = to_spherical(bracket, sph)
+    on_diag = b_sph.matrix.diagonal()
     diag = np.real(on_diag)
-    off = b_sph - sparse.diags(on_diag)
+    off = b_sph - diagonal(sph, on_diag)
     scale = max(np.abs(diag).max(), 1.0)
     if op_norm_1(off) > NORM_OFFDIAG_TOL * scale:
         raise DegenerateSplitFailure("normalization bracket is not diagonal in this basis")
@@ -217,10 +212,7 @@ class PhaseOperatorSet:
     sign = _shared_field(lambda self: sign_operator(self.doubled))
     exchange = _shared_field(lambda self: exchange_operator(self.doubled))
 
-    @_shared_field
-    def sqrt_norm(self) -> OperatorMatrix:
-        sph = self.spherical
-        return OperatorMatrix(sparse.diags(np.sqrt(self.norm_diag).astype(np.complex128)), sph, sph.n_max, 0, 0)
+    sqrt_norm = _shared_field(lambda self: diagonal(self.spherical, np.sqrt(self.norm_diag)))
 
     @_field
     def exp_plus(self) -> OperatorMatrix:
@@ -260,28 +252,25 @@ class PhaseOperatorSet:
 
     def vacuum_projector(self) -> OperatorMatrix:
         """Projector onto the n = 0 states of both copies."""
-        d = self.doubled
-        keep = np.tile(d.spherical.radial == 0, 2).astype(np.complex128)
-        return OperatorMatrix(sparse.diags(keep), d, d.n_max, 0, 0)
+        return diagonal(self.doubled, np.tile(self.spherical.radial == 0, 2))
 
     def chain_end_projector(self, lam: int) -> OperatorMatrix:
         """Projector onto the chain-top states, shell 2n + l >= n_max - 1, of one branch."""
         d = self.doubled
-        diag = np.zeros(d.dim, dtype=np.complex128)
+        diag = np.zeros(d.dim)
         diag[d.branch_slice(lam)] = d.spherical.shells > d.n_max - 2
-        return OperatorMatrix(sparse.diags(diag), d, d.n_max, 0, 0)
+        return diagonal(d, diag)
 
     def interior_projector(self) -> OperatorMatrix:
         """Projector onto doubled states with shell 2n + l <= n_max - 2."""
         d = self.doubled
-        keep = (d.shells <= d.n_max - 2).astype(np.complex128)
-        return OperatorMatrix(sparse.diags(keep), d, d.n_max, 0, 0)
+        return diagonal(d, d.shells <= d.n_max - 2)
 
     def branch_projector(self, lam: int) -> OperatorMatrix:
         d = self.doubled
-        diag = np.zeros(d.dim, dtype=np.complex128)
+        diag = np.zeros(d.dim)
         diag[d.branch_slice(lam)] = 1.0
-        return OperatorMatrix(sparse.diags(diag), d, d.n_max, 0, 0)
+        return diagonal(d, diag)
 
     # -- explicit phase (cyclic only) ----------------------------------------
 

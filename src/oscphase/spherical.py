@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lazy import sparse
-from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams, _hash_key
+from .fock import Basis3D, CartesianOperators, OperatorMatrix, OscParams
 
 EIGEN_RESIDUAL_TOL = 1e-10
 UNITARY_TOL = 1e-12
@@ -81,9 +81,7 @@ class SphericalBasis:
         lower = [i for idxs in chains.values() for i in idxs[:-1]]
         upper = [i for idxs in chains.values() for i in idxs[1:]]
         self.links = (np.array(lower, dtype=np.int64), np.array(upper, dtype=np.int64))
-        self.key = _hash_key(
-            f"spherical/v1/{cart.key}/" + ",".join(f"{la.n}:{la.l}:{la.m}" for la in self.labels)
-        )
+        self.key = f"spherical/v1/{cart.key}"  # v1 fixes the label order of spherical_labels
 
     def column_map(self) -> sparse.csr_matrix:
         """U as a sparse matrix holding the nonzero entries of its shell blocks."""

@@ -290,7 +290,8 @@ def test_empty_n_max_list_exits_two(tmp_path, capsys):
 
 def test_label_commands_load_no_sparse_stack(tmp_path):
     # trajectory and spectrum read labels alone and must not pay the import
-    # of scipy.sparse, which costs more than numpy's; verify builds sparse operators
+    # of scipy.sparse, which costs more than numpy's, nor hashlib's OpenSSL (the basis
+    # keys are plain text); verify builds sparse operators, and scipy.sparse imports hashlib
     code = textwrap.dedent(
         """
         import sys
@@ -300,6 +301,7 @@ def test_label_commands_load_no_sparse_stack(tmp_path):
             assert main(["trajectory", "--n-max", "6", "--t-max", "1", "--mode", mode, "--out", out]) == 0
         assert main(["spectrum", "--out", out]) == 0
         assert "scipy.sparse._base" not in sys.modules, "scipy.sparse was loaded"
+        assert "hashlib" not in sys.modules, "hashlib was loaded"
         assert main(["verify", "--n-max", "2", "--out", out]) == 0
         assert "scipy.sparse._base" in sys.modules
         """

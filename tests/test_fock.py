@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import oscphase.fock
 from oscphase import (
@@ -16,7 +17,6 @@ from oscphase import (
     identity,
     ladder,
     op_norm_1,
-    raising,
     residual_on_window,
 )
 
@@ -65,7 +65,7 @@ def test_ladder_matrix_elements(basis6, ops6):
     expect[basis6.index[(1, 0, 0)]] = np.sqrt(2.0)
     assert np.abs(lowered - expect).max() < 1e-15
 
-    up = raising(basis6, "x") @ vec
+    up = ops6.adag["x"] @ vec
     expect = np.zeros(basis6.dim)
     expect[basis6.index[(3, 0, 0)]] = np.sqrt(3.0)
     assert np.abs(up - expect).max() < 1e-15
@@ -84,6 +84,21 @@ def test_canonical_commutators(basis6, ops6):
     assert cross.window == basis6.n_max - 2
     assert residual_on_window(cross) < 1e-14
     assert op_norm_1(cross) > 1.0
+
+
+@pytest.mark.parametrize("window", [-1, 0, 3, 6, 9, None])  # n_max // 2, n_max, n_max + 3 at n_max 6
+@pytest.mark.parametrize("kind", ["cross_commutator", "empty"])
+def test_residual_on_window_matches_shell_projector(basis6, ops6, kind, window):
+    # the masked column sums equal the 1-norm of the operator times the
+    # projector onto shells <= window, bit for bit
+    if kind == "empty":
+        op = OperatorMatrix(np.zeros((basis6.dim, basis6.dim)), basis6, basis6.n_max)
+        assert op.nnz == 0
+    else:
+        op = commutator(ops6.r["x"], ops6.p["y"])  # nonzero at the cut, window n_max - 2
+    w = op.window if window is None else window
+    projector = sparse.diags((basis6.shells <= w).astype(np.complex128), format="csr")
+    assert residual_on_window(op, window) == op_norm_1(op.matrix @ projector)
 
 
 def test_hamiltonian_diagonal_oracle():

@@ -23,6 +23,12 @@ def test_round_trip(tmp_path, basis6, ops6):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_header_names_basis_in_plain_text(tmp_path, ops6):
+    path = tmp_path / "h.op"
+    save_operator(path, ops6.h)
+    assert path.read_text().splitlines()[1].startswith("# basis=cart3d/v1/n_max=6/graded-lex dim=84 ")
+
+
 def test_basis_mismatch_rejected(tmp_path, ops6):
     path = tmp_path / "h.op"
     save_operator(path, ops6.h)
@@ -59,6 +65,8 @@ def test_export_spherical(tmp_path, sph6):
 MALFORMED = {
     "header_key_missing": (lambda ls: [ls[0], ls[1].replace(" window=", " wndw="), *ls[2:]], 2),
     "header_item_without_value": (lambda ls: [ls[0], ls[1] + " junk", *ls[2:]], 2),
+    # a file saved while basis keys were 16-hex hashes of their description
+    "legacy_hashed_key": (lambda ls: [ls[0], re.sub(r"basis=\S+", "basis=0123456789abcdef", ls[1]), *ls[2:]], 2),
     "short_record": (lambda ls: [*ls[:3], ls[3].rsplit(" ", 1)[0], *ls[4:]], 4),
     "index_out_of_range": (lambda ls: [*ls[:4], "0 9999 1 0", *ls[5:]], 5),
     "nnz_mismatch": (lambda ls: ls[:-1], 2),

@@ -8,7 +8,8 @@ Subcommands:
 
 Options may come from flags or from a config file of `key = value` lines
 (`#` starts a comment). Flags win over the file. Exit codes: 0 success,
-1 failed check or undefined phase, 2 bad configuration.
+1 failed check or undefined phase, 2 bad configuration or a numerical
+failure of the build.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from .checks import run_all_checks
 from .evolution import PhaseUndefined, StateSpec, phase_trajectory
 from .fock import OscParams, op_norm_1
-from .phase3d import build_model, doubled_identity
-from .spherical import degeneracy_table
+from .phase3d import SingularNormalization, build_model, doubled_identity
+from .spherical import DegenerateSplitFailure, degeneracy_table
 
 DEFAULT_STATE = "0,0,0,+ : 0.7071067811865476 ; 1,0,0,+ : 0.7071067811865476"
 
@@ -173,6 +174,10 @@ def _output(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # the normalization bracket holds w^2 and the potential-energy check M w^2 (spring_constant)
+    w2 = cfg.omega * cfg.omega
+    if not (math.isfinite(w2) and math.isfinite(cfg.mass * w2)):
+        raise ConfigError("omega^2 and mass * omega^2 must be finite, got omega=%r mass=%r" % (cfg.omega, cfg.mass))
     params = OscParams(cfg.mass, cfg.omega)
     reports = run_all_checks(cfg.n_max, params)
     failed = 0
@@ -320,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
     except PhaseUndefined as exc:
         print("phase undefined: %s" % exc, file=sys.stderr)
         return 1
+    except (DegenerateSplitFailure, SingularNormalization) as exc:
+        print("numerical failure: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

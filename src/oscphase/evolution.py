@@ -35,6 +35,9 @@ from .spherical import SphericalLabel
 
 PHASE_MODULUS_TOL = 1e-8
 MAX_RAW_STEP = np.pi / 2
+# Past |phi| = pi 2^53 the cell index k exceeds 2^53, where floats no longer
+# hold every integer, so the cells (k pi, (k+1) pi] stop tiling the line.
+MAX_WINDING_PHI = math.pi * 2.0**53
 
 
 class PhaseUndefined(Exception):
@@ -138,7 +141,10 @@ def _wrap_pi(x: float) -> float:
 
 
 def _winding_columns(phi: np.ndarray, branch: str) -> tuple[np.ndarray, np.ndarray]:
-    """(j, sigma) arrays of the winding cells holding each phi on one branch."""
+    """(j, sigma) arrays of the winding cells holding each phi on one branch; ValueError past MAX_WINDING_PHI."""
+    beyond = np.flatnonzero(np.abs(phi) >= MAX_WINDING_PHI)
+    if beyond.size:
+        raise ValueError(f"phi = {float(phi[beyond[0]])!r} is beyond the winding cells' range |phi| < pi 2^53")
     k = np.ceil(phi / np.pi) - 1  # unique k with k pi < phi <= (k+1) pi
     # the division can misplace phi by one cell right at a boundary
     # (a subnormal phi underflows the quotient to zero, for instance);
@@ -162,7 +168,8 @@ def classify_winding(phi: float, branch: str) -> WindingState:
 
     Branch (+): cell (j, -) is -2j pi < phi <= pi - 2j pi and cell (j, +)
     is -pi - 2j pi < phi <= -2j pi. Branch (-) mirrors the layout with
-    cells advancing toward positive phi. The cells tile the real line.
+    cells advancing toward positive phi. The cells tile the real line
+    for |phi| < pi 2^53; beyond it this raises ValueError.
     """
     if branch not in ("(+)", "(-)"):
         raise ValueError("branch must be '(+)' or '(-)'")

@@ -23,9 +23,8 @@ assembles E from the projector formula.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +44,7 @@ class DoubledBasis:
     """H_+ (+) H_- over the spherical labels.
 
     Index i < dim_single is (labels[i], +1); index i + dim_single is
-    (labels[i], -1). Chains list, per (l, m), the doubled indices of the
-    plus and minus branches ordered by increasing n.
+    (labels[i], -1).
     """
 
     def __init__(self, sph: SphericalBasis):
@@ -70,12 +68,6 @@ class DoubledBasis:
             raise ValueError("operator is not over the underlying spherical basis")
         m = sparse.block_diag((op.matrix, op.matrix), format="csr")
         return OperatorMatrix(m, self, window=op.window, lo=op.lo, hi=op.hi)
-
-    def chain(self, l: int, m: int):
-        idxs = self.spherical.chains[(l, m)]
-        plus = [i for i in idxs]
-        minus = [i + self.dim_single for i in idxs]
-        return plus, minus
 
 
 def _unit_entries(basis, rows, cols, window: int, lo: int, hi: int) -> OperatorMatrix:
@@ -140,32 +132,6 @@ def radial_shift_pair(sph: SphericalBasis, params: OscParams, norm_diag: np.ndar
     return down, down.adjoint()
 
 
-class _field:
-    """A PhaseOperatorSet field, built by the decorated method on first read.
-
-    A shared field does not depend on the edge mode: it is kept in a store
-    that the open set hands on to the cyclic set derived from it. Every
-    other field is kept in a store of the set's own.
-    """
-
-    def __init__(self, build, shared: bool = False):
-        self.build, self.shared = build, shared
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, pset, owner=None):
-        if pset is None:
-            return self
-        store = pset._shared if self.shared else pset._own
-        if self.name not in store:
-            store[self.name] = self.build(pset)
-        return store[self.name]
-
-
-_shared_field = partial(_field, shared=True)
-
-
 def _row_major(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (row, col) positions in the order a CSR matrix stores them."""
     order = np.lexsort((cols, rows))
@@ -181,72 +147,57 @@ class PhaseOperatorSet:
     (B^(1/2) over the single copy), all built from the spherical labels on
     first read. norm_diag (the diagonal of B) and exp_entries, the (rows,
     cols) of the stored entries of exp_plus in CSR order, each equal to 1,
-    are arrays built with the set. The constructor makes the open set;
-    cyclic() derives the cyclic one, which shares every mode-independent
-    field with it. A set never changes a field once built; two threads
-    reading an unbuilt field at once may each build it, with equal results.
+    are arrays built with the set. mode "open" stops each chain at its
+    tops; "cyclic" closes it with the wrap |top,+><top,-| (Pegg-Barnett).
+    A set never changes a field once built; two threads reading an
+    unbuilt field at once may each build it, with equal results.
     """
 
-    def __init__(self, sph: SphericalBasis, params: OscParams):
+    def __init__(self, sph: SphericalBasis, params: OscParams, mode: str = "open"):
+        if mode not in ("open", "cyclic"):
+            raise ValueError("mode must be 'open' or 'cyclic'")
         self.spherical = sph
         self.params = params
-        self.mode = "open"
+        self.mode = mode
         self.doubled = d = DoubledBasis(sph)
         n, l = sph.radial, sph.orbital
         w = params.omega
         self.norm_diag = (w * w) * ((2.0 * n + 2) * (2.0 * n + 2 * l + 3))
-        self._shared: dict = {}
-        self._own: dict = {}
         # the chain dyadic: down the plus copy, across the vacuum link, up the minus copy
         lower, upper = sph.links
         bottoms, single = np.flatnonzero(sph.radial == 0), d.dim_single
-        self.exp_entries = _row_major(
-            np.concatenate([lower, upper + single, bottoms + single]),
-            np.concatenate([upper, lower + single, bottoms]),
-        )
+        rows = [lower, upper + single, bottoms + single]
+        cols = [upper, lower + single, bottoms]
+        if mode == "cyclic":
+            tops = np.flatnonzero(sph.shells > d.n_max - 2)  # chain tops: 2n + l >= n_max - 1
+            rows.append(tops)
+            cols.append(tops + single)
+        self.exp_entries = _row_major(np.concatenate(rows), np.concatenate(cols))
 
-    down_single = _shared_field(lambda self: _unit_entries(self.spherical, *self.spherical.links, self.spherical.n_max, -2, -2))
-    up_single = _shared_field(lambda self: self.down_single.adjoint())
-    down = _shared_field(lambda self: self.doubled.embed(self.down_single))
-    up = _shared_field(lambda self: self.doubled.embed(self.up_single))
-    sign = _shared_field(lambda self: sign_operator(self.doubled))
-    exchange = _shared_field(lambda self: exchange_operator(self.doubled))
+    down_single = cached_property(lambda self: _unit_entries(self.spherical, *self.spherical.links, self.spherical.n_max, -2, -2))
+    up_single = cached_property(lambda self: self.down_single.adjoint())
+    down = cached_property(lambda self: self.doubled.embed(self.down_single))
+    up = cached_property(lambda self: self.doubled.embed(self.up_single))
+    sign = cached_property(lambda self: sign_operator(self.doubled))
+    exchange = cached_property(lambda self: exchange_operator(self.doubled))
 
-    sqrt_norm = _shared_field(lambda self: diagonal(self.spherical, np.sqrt(self.norm_diag)))
+    sqrt_norm = cached_property(lambda self: diagonal(self.spherical, np.sqrt(self.norm_diag)))
 
-    @_field
+    @cached_property
     def exp_plus(self) -> OperatorMatrix:
         # (window, lo, hi) as the projector formula composes them
         d = self.doubled
         return _unit_entries(d, *self.exp_entries, d.n_max - 2, -2, 2)
 
-    @_field
+    @cached_property
     def exp_minus(self) -> OperatorMatrix:
         # The adjoint rule is conservative for this composite; the defect
         # columns of the adjoint sit on the plus-branch chain tops, shells
         # >= n_max - 1, so the mirror window n_max - 2 is justified.
         return self.exp_plus.adjoint().with_window(self.doubled.n_max - 2, -2, 2)
 
-    cos2 = _field(lambda self: 0.5 * (self.exp_plus + self.exp_minus))
-    sin2 = _field(lambda self: (-0.5j) * (self.exp_plus - self.exp_minus))
-
-    def cyclic(self) -> "PhaseOperatorSet":
-        """The cyclic set: this open set with each chain's plus top wrapped onto its minus top.
-
-        Every mode-independent field is shared with this set, built or not;
-        the exponential and its trigonometric pair are the cyclic set's own.
-        """
-        if self.mode != "open":
-            raise ValueError("only an open phase set can be closed cyclically")
-        d = self.doubled
-        tops = np.flatnonzero(self.spherical.shells > d.n_max - 2)  # chain tops: 2n + l >= n_max - 1
-        rows, cols = self.exp_entries
-        cyc = copy.copy(self)
-        cyc.mode = "cyclic"
-        cyc._own = {}
-        # the wrap |top,+><top,-| of every chain
-        cyc.exp_entries = _row_major(np.concatenate([rows, tops]), np.concatenate([cols, tops + d.dim_single]))
-        return cyc
+    cos2 = cached_property(lambda self: 0.5 * (self.exp_plus + self.exp_minus))
+    sin2 = cached_property(lambda self: (-0.5j) * (self.exp_plus - self.exp_minus))
 
     # -- projectors ----------------------------------------------------------
 
@@ -292,9 +243,8 @@ class PhaseOperatorSet:
         d = self.doubled
         circulants: dict[int, np.ndarray] = {}
         rows, cols, vals = [], [], []
-        for l, m in self.spherical.chains:
-            plus, minus = d.chain(l, m)
-            cycle = np.array(plus[::-1] + minus)
+        for idxs in self.spherical.chains.values():
+            cycle = np.array(idxs[::-1] + [i + d.dim_single for i in idxs])
             length = len(cycle)
             if length not in circulants:
                 circulants[length] = _cycle_phase(length)
@@ -341,17 +291,7 @@ def build_phase_operators(
 ) -> PhaseOperatorSet:
     """The phase set of one mode. ops is accepted and unused: the set is
     built from the spherical labels."""
-    return _phase_sets(sph, params, (mode,))[mode]
-
-
-def _phase_sets(sph, params, modes) -> dict[str, PhaseOperatorSet]:
-    """One phase set per requested mode, all derived from a single open build."""
-    if not set(modes) <= {"open", "cyclic"}:
-        raise ValueError("mode must be 'open' or 'cyclic'")
-    if not modes:
-        return {}
-    open_set = PhaseOperatorSet(sph, params)
-    return {mode: open_set.cyclic() if mode == "cyclic" else open_set for mode in modes}
+    return PhaseOperatorSet(sph, params, mode)
 
 
 @dataclass(frozen=True)
@@ -390,11 +330,11 @@ def build_model(n_max: int, params: OscParams, modes=()) -> Model:
     """Build a truncation from its labels: basis, spherical labels, phase sets.
 
     modes lists the edge modes to build phase sets for ("open",
-    "cyclic"); the cyclic set is derived from the open one.
+    "cyclic"), each with its own constructor.
     """
     basis = build_basis(n_max)
     sph = SphericalBasis(basis)
-    return Model(basis, params, sph, _phase_sets(sph, params, tuple(modes)))
+    return Model(basis, params, sph, {mode: PhaseOperatorSet(sph, params, mode) for mode in modes})
 
 
 def projector_phase_exponential(pset: PhaseOperatorSet, down: OperatorMatrix) -> OperatorMatrix:

@@ -183,17 +183,18 @@ def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) 
     # norm is taken over the column zero-padded to full length: the entries
     # of U then do not depend on how its columns are stored.
     padded = np.zeros(basis.dim, dtype=np.complex128)
-    for (l, m), idxs in sph.chains.items():
-        prev = columns[idxs[0]]
-        for n, i in enumerate(idxs[1:], start=1):
-            shell = 2 * n + l
-            raised = raise_blocks[shell - 2] @ prev
-            padded[slices[shell]] = raised
-            norm = np.linalg.norm(padded)
-            padded[slices[shell]] = 0.0
-            if norm <= 0.0:
-                raise DegenerateSplitFailure(f"chain (l={l}, m={m}) dies at n={n}")
-            prev = columns[i] = raised / norm
+    with np.errstate(over="ignore"):  # a norm that overflows is raised below
+        for (l, m), idxs in sph.chains.items():
+            prev = columns[idxs[0]]
+            for n, i in enumerate(idxs[1:], start=1):
+                shell = 2 * n + l
+                raised = raise_blocks[shell - 2] @ prev
+                padded[slices[shell]] = raised
+                norm = np.linalg.norm(padded)
+                padded[slices[shell]] = 0.0
+                if not 0.0 < norm < np.inf:
+                    raise DegenerateSplitFailure(f"chain (l={l}, m={m}) {'dies' if norm <= 0.0 else 'overflows'} at n={n}")
+                prev = columns[i] = raised / norm
 
     blocks = []
     for sel in slices:

@@ -261,6 +261,41 @@ def test_bad_numbers_exit_two(argv, capsys, monkeypatch):
         assert "state term" in err and "is not finite" in err
 
 
+@pytest.mark.parametrize(
+    "extreme",
+    [
+        "--mass 1e-300",
+        "--omega 1e-200",
+        "--mass 1e300",
+        "--omega 1e300",
+        "--omega 1e155 --mass 1e-155",
+        "--omega 1e200 --mass 1e-300",
+    ],
+)
+def test_verify_extreme_parameters_exit_two_without_traceback(extreme):
+    # omega^2 or M omega^2 not finite is a config error; a build that
+    # underflows or overflows on the way is a numerical failure
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-W", "error", "-m", "oscphase", "verify", "--n-max", "2", *extreme.split()]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith(("config error: ", "numerical failure: "))
+    assert "Traceback" not in run.stderr
+
+
+def test_verify_tiny_omega_huge_mass_fails_checks(capsys):
+    # omega^2 is subnormal but finite: the build runs and some checks fail
+    assert run_cli(["verify", "--n-max", "2", "--omega", "1e-160", "--mass", "1e160"]) == 1
+    assert "\nFAIL name=" in "\n" + capsys.readouterr().out
+
+
+def test_trajectory_beyond_winding_range_exits_two(capsys):
+    # |phi| reaches 2e19 > pi 2^53, where the winding index no longer fits the cells
+    assert run_cli(["trajectory", "--t-max", "1e20", "--dt", "2e19"]) == 2
+    assert capsys.readouterr().err.startswith("config error: phi = ")
+
+
 @pytest.mark.parametrize("scale", ["1e308", "1e-200"])
 def test_trajectory_amplitude_scale(scale, tmp_path):
     # the normalized state, and so every CSV byte, does not depend on the

@@ -105,6 +105,10 @@ def test_classify_winding_frozen_examples():
     assert classify_winding(0.5 + 2 * np.pi, "(-)") == WindingState(1, "+", "(-)")
     with pytest.raises(ValueError):
         classify_winding(0.0, "up")
+    # the cells tile only while |phi| < pi 2^53, about 2.83e16
+    assert classify_winding(2.8e16, "(+)").j < 0
+    with pytest.raises(ValueError, match="phi = 3e"):
+        classify_winding(3e16, "(+)")
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, null_space, schur
@@ -360,22 +362,26 @@ def test_each_build_stage_runs_once(build_calls, params, tmp_path):
         assert build_calls == none
 
 
-def test_cyclic_set_shares_the_open_build(params):
-    from oscphase import build_model
-
+def test_cyclic_set_agrees_with_open_off_the_wrap(params):
     model = build_model(4, params, ("open", "cyclic"))
     opn, cyc = model.psets["open"], model.psets["cyclic"]
     assert (opn.mode, cyc.mode) == ("open", "cyclic")
-    for field in ("doubled", "down", "up", "norm_diag", "sqrt_norm", "sign", "exchange"):
-        assert getattr(cyc, field) is getattr(opn, field)
-    assert cyc.exp_plus is not opn.exp_plus
-    with pytest.raises(ValueError):
-        cyc.cyclic()
+    assert np.array_equal(cyc.norm_diag, opn.norm_diag)
+    for field in ("down", "up", "sqrt_norm", "sign", "exchange"):
+        assert abs(getattr(cyc, field).matrix - getattr(opn, field).matrix).max() == 0.0
+    # the cyclic entries are the open ones plus the wrap |top,+><top,-|, in CSR order
+    d = opn.doubled
+    tops = np.flatnonzero(model.sph.shells > d.n_max - 2)
+    rows, cols = (np.concatenate(pair) for pair in zip(opn.exp_entries, (tops, tops + d.dim_single)))
+    order = np.lexsort((cols, rows))
+    assert np.array_equal(cyc.exp_entries[0], rows[order])
+    assert np.array_equal(cyc.exp_entries[1], cols[order])
 
 
 def _built(pset) -> set:
     """The names of the phase-set fields built so far."""
-    return set(pset._shared) | set(pset._own)
+    fields = {name for name, attr in vars(type(pset)).items() if isinstance(attr, cached_property)}
+    return fields & set(vars(pset))
 
 
 def test_commands_build_only_the_fields_they_read(params, monkeypatch, tmp_path):
@@ -400,10 +406,10 @@ def test_commands_build_only_the_fields_they_read(params, monkeypatch, tmp_path)
 
 @pytest.mark.parametrize("field", ["exp_minus", "cos2", "sin2"])
 def test_cyclic_set_does_not_inherit_the_open_exponential(field, params):
-    opn = build_model(6, params, ("open",)).psets["open"]
+    psets = build_model(6, params, ("open", "cyclic")).psets
+    opn, cyc = psets["open"], psets["cyclic"]
     opened = getattr(opn, field)
-    cyc = opn.cyclic()
-    assert _built(cyc) == _built(opn) - {"exp_plus", "exp_minus", "cos2", "sin2"}
+    assert _built(cyc) == set()
     fresh = build_model(6, params, ("cyclic",)).psets["cyclic"]
     assert getattr(cyc, field) is not opened
     assert abs(getattr(cyc, field).matrix - getattr(fresh, field).matrix).max() == 0.0

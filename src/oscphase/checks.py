@@ -322,7 +322,8 @@ def _spherical_checks(ctx: Model) -> list[CheckReport]:
     dev = np.max([np.abs(np.abs(vals) - want), np.abs(vals.imag), np.maximum(-vals.real, 0.0)], axis=0)
     elem_worst = max(0.0, float((dev / want).max(initial=0.0)))
     coo = v2.tocoo()
-    off_links = ~np.isin(coo.row * sph.dim + coo.col, lower * sph.dim + upper)
+    # int64 keys: scipy stores int32 indices, and dim^2 passes 2^31 from n_max 64 on
+    off_links = ~np.isin(coo.row.astype(np.int64) * sph.dim + coo.col, lower * sph.dim + upper)
     stray = np.abs(coo.data[off_links]).max(initial=0.0)
     out.append(
         CheckReport(

@@ -316,7 +316,11 @@ def tau_law_check(points: Trajectory | list[TrajectoryPoint]) -> TauFit:
         )
     ts = np.array([p.t for p in points])
     taus = np.array([p.tau for p in points])
-    slope, intercept = np.polyfit(ts, taus, 1)
+    # polyfit squares its abscissae: fit on t / 2^e in [-1, 1], an exact
+    # rescaling that leaves every fit with a representable t^2 unchanged
+    _, e = np.frexp(np.abs(ts).max())
+    slope, intercept = np.polyfit(np.ldexp(ts, -e), taus, 1)
+    slope = np.ldexp(slope, -e)
     resid = np.abs(taus - (slope * ts + intercept)).max()
     return TauFit(slope=float(slope), intercept=float(intercept), max_residual=float(resid))
 

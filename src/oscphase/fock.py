@@ -1,8 +1,11 @@
 """Truncated Fock space of the 3D isotropic harmonic oscillator.
 
-The basis is the set of Cartesian number states |nx, ny, nz> with
-nx + ny + nz <= n_max, ordered graded-lexicographically: first by total
-quanta N = nx + ny + nz, then by the tuple (nx, ny, nz). Units use
+The basis is the set of number states |n+, n-, nz> of the circular quanta
+a_+- = (a_x -+ i a_y)/sqrt(2) and a_z, with n+ + n- + nz <= n_max, ordered
+graded-lexicographically: first by total quanta N = n+ + n- + nz, then by
+the tuple (n+, n-, nz). L_z = n+ - n- is diagonal in it, so every state
+has a definite m. The Cartesian ladders a_x = (a_+ + a_-)/sqrt(2) and
+a_y = i(a_+ - a_-)/sqrt(2) are formed from the circular ones. Units use
 hbar = 1 throughout.
 
 Every operator is stored as a sparse complex matrix together with a
@@ -38,11 +41,11 @@ class OscParams:
 
 
 class Basis3D:
-    """Ordered Cartesian basis {|nx,ny,nz> : nx+ny+nz <= n_max}.
+    """Ordered number basis {|n+,n-,nz> : n+ + n- + nz <= n_max}.
 
     Attributes
     ----------
-    states : list of (nx, ny, nz) tuples in graded-lexicographic order.
+    states : list of (n+, n-, nz) tuples in graded-lexicographic order.
     index : dict mapping state tuple to its position.
     quanta : (dim, 3) int array of the states.
     shells : int array, total quanta of each basis state.
@@ -53,16 +56,22 @@ class Basis3D:
             raise ValueError("n_max must be >= 0")
         self.n_max = int(n_max)
         self.states = states = [
-            (nx, ny, shell - nx - ny)
+            (p, q, shell - p - q)
             for shell in range(n_max + 1)
-            for nx in range(shell + 1)
-            for ny in range(shell + 1 - nx)
+            for p in range(shell + 1)
+            for q in range(shell + 1 - p)
         ]
         self.index = {s: i for i, s in enumerate(states)}
         self.quanta = np.array(states, dtype=np.int64).reshape(-1, 3)
         self.shells = self.quanta.sum(axis=1)
         self.dim = len(states)
-        self.key = f"cart3d/v1/n_max={self.n_max}/graded-lex"
+        self.key = f"cart3d/v2/n_max={self.n_max}/circular"
+
+    @staticmethod
+    def position(p, q, shell):
+        """Index of |p, q, shell - p - q> in graded-lex order, in closed form:
+        shell N starts at N(N+1)(N+2)/6, then p(N+1) - p(p-1)/2 + q within it."""
+        return shell * (shell + 1) * (shell + 2) // 6 + p * (shell + 1) - p * (p - 1) // 2 + q
 
     def __repr__(self):
         return f"Basis3D(n_max={self.n_max}, dim={self.dim})"
@@ -207,23 +216,30 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 # -- elementary operators ---------------------------------------------------
 
 AXES = ("x", "y", "z")
-_AXIS_NUM = {"x": 0, "y": 1, "z": 2}
+_QUANTUM = {"+": 0, "-": 1, "z": 2}
 
 
 def ladder(basis: Basis3D, axis: str) -> OperatorMatrix:
-    """Annihilation operator for one Cartesian axis: a|..n..> = sqrt(n)|..n-1..>.
+    """Annihilation operator for a circular axis ("+", "-", "z") or a
+    Cartesian one ("x", "y").
 
-    Pure lowering, so the truncated matrix is exact on every shell. Each
-    lowered state's position is graded-lex in closed form: shell N starts
-    at N(N+1)(N+2)/6, then nx(N+1) - nx(nx-1)/2 + ny within the shell.
+    a_k|..n_k..> = sqrt(n_k)|..n_k-1..> for k in (+, -, z), one entry per
+    column at the lowered state's Basis3D.position. a_x = (a_+ + a_-)/sqrt(2)
+    and a_y = i(a_+ - a_-)/sqrt(2). Pure lowering, so the truncated matrix
+    is exact on every shell.
     """
-    ax = _AXIS_NUM[axis]
-    cols = np.flatnonzero(basis.quanta[:, ax])
+    if axis not in ("x", "y"):
+        return _circular_ladder(basis, _QUANTUM[axis])
+    plus, minus = _circular_ladder(basis, 0), _circular_ladder(basis, 1)
+    return (plus + minus) * (1.0 / np.sqrt(2.0)) if axis == "x" else (plus - minus) * (1j / np.sqrt(2.0))
+
+
+def _circular_ladder(basis: Basis3D, k: int) -> OperatorMatrix:
+    cols = np.flatnonzero(basis.quanta[:, k])
     low = basis.quanta[cols]
-    low[:, ax] -= 1
-    n, nx, ny = low.sum(axis=1), low[:, 0], low[:, 1]
-    rows = n * (n + 1) * (n + 2) // 6 + nx * (n + 1) - nx * (nx - 1) // 2 + ny
-    m = sparse.coo_matrix((np.sqrt(basis.quanta[cols, ax]), (rows, cols)), shape=(basis.dim, basis.dim))
+    low[:, k] -= 1
+    rows = basis.position(low[:, 0], low[:, 1], low.sum(axis=1))
+    m = sparse.coo_matrix((np.sqrt(basis.quanta[cols, k]), (rows, cols)), shape=(basis.dim, basis.dim))
     return OperatorMatrix(m, basis, window=basis.n_max, lo=-1, hi=-1)
 
 
@@ -241,7 +257,7 @@ def hamiltonian(basis: Basis3D, params: OscParams) -> OperatorMatrix:
 
 
 def _angular_momentum(a: dict[str, OperatorMatrix], axis: str) -> OperatorMatrix:
-    k = _AXIS_NUM[axis]
+    k = AXES.index(axis)
     ai, aj = a[AXES[(k + 1) % 3]], a[AXES[(k + 2) % 3]]
     return 1j * (aj.adjoint() @ ai - ai.adjoint() @ aj)
 

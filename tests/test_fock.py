@@ -57,18 +57,30 @@ def test_params_validation():
 
 
 def test_ladder_matrix_elements(basis6, ops6):
-    # a_x |2,0,0> = sqrt(2) |1,0,0> and its adjoint raises with sqrt(3)
+    # the basis states are |n+, n-, nz>: a_+ |2,0,0> = sqrt(2) |1,0,0>,
+    # a_+^+ raises it with sqrt(3), and a_x = (a_+ + a_-)/sqrt(2) halves the norm
     vec = np.zeros(basis6.dim)
     vec[basis6.index[(2, 0, 0)]] = 1.0
-    lowered = ops6.a["x"] @ vec
     expect = np.zeros(basis6.dim)
     expect[basis6.index[(1, 0, 0)]] = np.sqrt(2.0)
-    assert np.abs(lowered - expect).max() < 1e-15
+    assert np.abs(ladder(basis6, "+") @ vec - expect).max() < 1e-15
+    assert np.abs(ops6.a["x"] @ vec - expect / np.sqrt(2.0)).max() < 1e-15
+    assert np.abs(ops6.a["y"] @ vec - 1j * expect / np.sqrt(2.0)).max() < 1e-15
 
-    up = ops6.adag["x"] @ vec
+    up = ladder(basis6, "+").adjoint() @ vec
     expect = np.zeros(basis6.dim)
     expect[basis6.index[(3, 0, 0)]] = np.sqrt(3.0)
     assert np.abs(up - expect).max() < 1e-15
+    expect[basis6.index[(2, 1, 0)]] = 1.0  # from a_-^+
+    assert np.abs(ops6.adag["x"] @ vec - expect / np.sqrt(2.0)).max() < 1e-15
+
+
+def test_circular_quanta_carry_m(basis6, ops6):
+    # L_z = n+ - n- is diagonal in the circular basis
+    lz = ops6.l["z"].toarray()
+    m = basis6.quanta[:, 0] - basis6.quanta[:, 1]
+    assert np.abs(lz - np.diag(m)).max() < 1e-14
+    assert np.count_nonzero(lz - np.diag(np.diag(lz))) == 0
 
 
 def test_canonical_commutators(basis6, ops6):
@@ -270,24 +282,30 @@ def test_negative_n_max_rejected():
         build_basis(-1)
 
 
-def _loop_ladder(basis, axis):
-    """Reference annihilation operator, one basis state at a time."""
-    ax = AXES.index(axis)
+def _loop_ladder(basis, k):
+    """Reference circular annihilation operator a_+, a_- or a_z (k = 0, 1, 2),
+    one basis state |n+, n-, nz> at a time."""
     dense = np.zeros((basis.dim, basis.dim))
     for j, s in enumerate(basis.states):
-        if s[ax]:
+        if s[k]:
             t = list(s)
-            t[ax] -= 1
-            dense[basis.index[tuple(t)], j] = np.sqrt(s[ax])
+            t[k] -= 1
+            dense[basis.index[tuple(t)], j] = np.sqrt(s[k])
     return dense
 
 
 @pytest.mark.parametrize("n_max", range(10))
 def test_ladder_matches_state_loop(n_max):
     basis = build_basis(n_max)
+    plus, minus, z = (_loop_ladder(basis, k) for k in range(3))
+    for ax, want in (("+", plus), ("-", minus), ("z", z)):
+        a = ladder(basis, ax)
+        assert np.array_equal(a.toarray(), want)
+        assert np.all(np.count_nonzero(want, axis=0) <= 1)  # one entry per column
+    want = {"x": (plus + minus) * (1.0 / np.sqrt(2.0)), "y": (plus - minus) * (1j / np.sqrt(2.0)), "z": z}
     for ax in AXES:
         a = ladder(basis, ax)
-        assert np.array_equal(a.toarray(), _loop_ladder(basis, ax))
+        assert np.array_equal(a.toarray(), want[ax])
         assert (a.window, a.lo, a.hi) == (n_max, -1, -1)
 
 

@@ -26,7 +26,7 @@ def test_round_trip(tmp_path, basis6, ops6):
 def test_header_names_basis_in_plain_text(tmp_path, ops6):
     path = tmp_path / "h.op"
     save_operator(path, ops6.h)
-    assert path.read_text().splitlines()[1].startswith("# basis=cart3d/v1/n_max=6/graded-lex dim=84 ")
+    assert path.read_text().splitlines()[1].startswith("# basis=cart3d/v2/n_max=6/circular dim=84 ")
 
 
 def test_basis_mismatch_rejected(tmp_path, ops6):

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oscphase
 from oscphase import (
@@ -93,7 +94,29 @@ def test_build_is_deterministic(basis6, params, ops6):
     a = build_spherical(basis6, params, ops6)
     b = build_spherical(basis6, params, ops6)
     assert a.labels == b.labels
-    assert [u.tobytes() for u in a.blocks] == [u.tobytes() for u in b.blocks]
+    assert _bytes(a.column_map()) == _bytes(b.column_map())
+
+
+def _bytes(u):
+    return u.data.tobytes(), u.indices.tobytes(), u.indptr.tobytes()
+
+
+def test_column_map_does_not_depend_on_mass_or_omega():
+    # the chains are raised by the dimensionless -a+.a+, not by V2+ ~ M w
+    basis = build_basis(8)
+    maps = []
+    for mass, omega in ((1.0, 1.0), (1e200, 1.0), (1e-300, 1.0), (1.0, 1e-100)):
+        params = OscParams(mass, omega)
+        maps.append(_bytes(build_spherical(basis, params, cartesian_operators(basis, params)).column_map()))
+    assert maps[1:] == maps[:1] * 3
+
+
+def _blocks(basis, sph):
+    """(N, m) of every Cartesian state and of every label."""
+    return (
+        list(zip(basis.shells.tolist(), (basis.quanta[:, 0] - basis.quanta[:, 1]).tolist())),
+        [(lab.shell, lab.m) for lab in sph.labels],
+    )
 
 
 def _cartesian_operator_list(ops):
@@ -109,22 +132,27 @@ def test_block_transform_matches_dense_reference(n_max):
     basis = build_basis(n_max)
     ops = cartesian_operators(basis, params)
     sph = build_spherical(basis, params, ops)
-    sizes = [(n + 1) * (n + 2) // 2 for n in range(n_max + 1)]
-    assert [u.shape for u in sph.blocks] == [(k, k) for k in sizes]
-    for u in sph.blocks:
-        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12
     dense_u = sph.column_map().toarray()
-    shells = basis.shells
+    assert np.abs(dense_u.conj().T @ dense_u - np.eye(basis.dim)).max() < 1e-12
+    cart_blocks, label_blocks = _blocks(basis, sph)
+    # U lies in (N, m) blocks of size (N - |m|)//2 + 1, each holding as many states as labels
+    rows, cols = np.nonzero(dense_u)
+    assert all(cart_blocks[r] == label_blocks[c] for r, c in zip(rows, cols))
+    sizes = {}
+    for block in cart_blocks:
+        sizes[block] = sizes.get(block, 0) + 1
+    assert sizes == {(n, m): (n - abs(m)) // 2 + 1 for n in range(n_max + 1) for m in range(-n, n + 1)}
+    assert sorted(label_blocks) == sorted(cart_blocks)
     for name, op in _cartesian_operator_list(ops):
         ref = dense_u.conj().T @ (op.toarray() @ dense_u)
         got = to_spherical(op, sph)
         scale = max(np.abs(ref).max(), 1e-300)
         assert np.abs(got.toarray() - ref).max() <= 1e-13 * scale, name
-        # stored entries only on the shell pairs where the operator has entries
+        # stored entries only on the (N, m) block pairs where the operator has entries
         src = op.matrix.tocoo()
-        admissible = set(zip(shells[src.row].tolist(), shells[src.col].tolist()))
+        admissible = {(cart_blocks[r], cart_blocks[c]) for r, c in zip(src.row, src.col)}
         out = got.matrix.tocoo()
-        assert set(zip(shells[out.row].tolist(), shells[out.col].tolist())) <= admissible, name
+        assert {(label_blocks[r], label_blocks[c]) for r, c in zip(out.row, out.col)} <= admissible, name
 
 
 def test_window_metadata_carries_over(sph6, ops6):
@@ -145,8 +173,8 @@ def test_degenerate_split_failure_on_perturbed_operator(basis6, params, ops6):
 @pytest.mark.parametrize("scale", [1.001, np.nan])
 def test_validate_names_the_shell_of_a_non_unitary_block(sph6, params, ops6, scale):
     sph = copy.copy(sph6)
-    sph.blocks = tuple(scale * u if shell == 3 else u for shell, u in enumerate(sph6.blocks))
-    with pytest.raises(DegenerateSplitFailure, match="shell 3: column map is not unitary"):
+    sph.u = sph6.column_map() @ sparse.diags(np.where(sph6.shells == 3, scale, 1.0))
+    with pytest.raises(DegenerateSplitFailure, match=r"shell 3: unitary defect .* at \(n=1, l=1, m=-1\)"):
         _validate(sph, ops6, params)
 
 
@@ -162,17 +190,27 @@ def test_build_calls_no_eigensolver(basis6, params, ops6, monkeypatch):
 
 @pytest.mark.parametrize("n_max", [8, 18])
 def test_column_map_keeps_z_parity_zeros(n_max):
-    # z -> -z multiplies |nx,ny,nz> by (-1)^nz and |n,l,m> by (-1)^(l+m), so
+    # z -> -z multiplies |n+,n-,nz> by (-1)^nz and |n,l,m> by (-1)^(l+m), so
     # U has no entry, not even roundoff, between states of opposite parity
-    basis, params = build_basis(n_max), OscParams()
-    ops = cartesian_operators(basis, params)
-    sph = build_spherical(basis, params, ops)
+    model = oscphase.build_model(n_max, OscParams())
+    basis, sph = model.basis, model.eigenbasis
     parity = (sph.orbital + np.array([lab.m for lab in sph.labels])) % 2
     u = sph.column_map().tocoo()
     assert np.array_equal(basis.quanta[u.row, 2] % 2, parity[u.col])
-    # so the operators transformed by U couple only labels of equal parity
-    for op in (ops.h, ops.v2):
-        moved = to_spherical(op, sph).matrix.tocoo()
+    # nor between states of different m = n+ - n-, which also fixes the
+    # parity, since nz = N - n+ - n- = l + m mod 2
+    m_cart, m_label = basis.quanta[:, 0] - basis.quanta[:, 1], np.array([lab.m for lab in sph.labels])
+    assert np.array_equal(m_cart[u.row], m_label[u.col])
+    assert np.array_equal(basis.shells[u.row], sph.shells[u.col])
+    # so U stores at most the (N, m) blocks, (N - |m|)//2 + 1 square
+    bound = sum(((n - abs(m)) // 2 + 1) ** 2 for n in range(n_max + 1) for m in range(-n, n + 1))
+    assert u.nnz <= bound
+    if n_max == 18:
+        assert bound == 6700
+    # and the operators transformed by U couple only labels of equal m
+    for op in (model.h, model.v2):
+        moved = op.matrix.tocoo()
+        assert np.array_equal(m_label[moved.row], m_label[moved.col])
         assert np.array_equal(parity[moved.row], parity[moved.col])
 
 
@@ -198,7 +236,7 @@ def test_label_basis_matches_diagonalized_basis(mass, omega):
         basis = build_basis(n_max)
         built = build_spherical(basis, params, cartesian_operators(basis, params))
         labels = SphericalBasis(basis)
-        assert labels.blocks is None
+        assert labels.u is None
         assert labels.labels == built.labels
         assert labels.key == built.key
         assert labels.chains == built.chains
@@ -216,18 +254,17 @@ def test_label_basis_has_no_column_map(basis6, ops6):
 
 
 def test_column_map_unitary_to_working_precision():
-    # the polar step per shell block; the closed-form columns reach
-    # U+ U - 1 = 7.8e-16 here before it
+    # after the polar step over the (N, m) blocks
     basis, params = build_basis(18), OscParams()
     sph = build_spherical(basis, params, cartesian_operators(basis, params))
-    for u in sph.blocks:
-        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() <= 1e-15
+    u = sph.column_map()
+    assert abs(u.conj().T @ u - sparse.identity(basis.dim)).max() <= 1e-15
     assert sph.unitary_defect <= 1e-15
 
 
 def test_every_check_passes_at_n_max_28():
     # radial_shift_commutator, the check with the least headroom, reads about
-    # 1e-13 here against 1e-12
+    # 2.7e-14 here against 1e-12
     src = os.path.dirname(os.path.dirname(oscphase.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (

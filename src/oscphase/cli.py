@@ -176,8 +176,8 @@ def _output(cfg: RunConfig):
 def cmd_verify(cfg: RunConfig) -> int:
     # the normalization bracket holds w^2 and the potential-energy check M w^2 (spring_constant)
     w2 = cfg.omega * cfg.omega
-    if not (math.isfinite(w2) and math.isfinite(cfg.mass * w2)):
-        raise ConfigError("omega^2 and mass * omega^2 must be finite, got omega=%r mass=%r" % (cfg.omega, cfg.mass))
+    if not all(math.isfinite(x) and x != 0.0 for x in (w2, cfg.mass * w2)):
+        raise ConfigError("omega^2 and mass * omega^2 must be finite and nonzero, got omega=%r mass=%r" % (cfg.omega, cfg.mass))
     params = OscParams(cfg.mass, cfg.omega)
     reports = run_all_checks(cfg.n_max, params)
     failed = 0

@@ -8,15 +8,17 @@ has a definite m. The Cartesian ladders a_x = (a_+ + a_-)/sqrt(2) and
 a_y = i(a_+ - a_-)/sqrt(2) are formed from the circular ones. Units use
 hbar = 1 throughout.
 
-Every operator is stored as a sparse complex matrix together with a
-validity window: the largest shell W such that the truncated matrix,
+Every operator is stored as a canonical complex CSR matrix together with
+a validity window: the largest shell W such that the truncated matrix,
 applied to any vector supported on shells N <= W, acts exactly like the
 untruncated operator. Compositions propagate the window automatically,
 so derived identities always know on which block they are trustworthy.
+Norms are column sums of |A| over the CSR arrays, in row order.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +87,8 @@ def build_basis(n_max: int) -> Basis3D:
 class OperatorMatrix:
     """Sparse complex operator with truncation metadata.
 
+    matrix : complex128 CSR with sorted, unique indices. A result that is
+        one already (a product, sum or difference) is stored as it is.
     window : largest shell W such that action on any vector supported on
         shells N <= W equals the untruncated action. A negative window
         means no shell is certified.
@@ -103,11 +107,9 @@ class OperatorMatrix:
     __slots__ = ("matrix", "basis", "window", "lo", "hi")
 
     def __init__(self, matrix, basis, window: int, lo: int = 0, hi: int = 0):
-        m = sparse.csr_matrix(matrix, dtype=np.complex128)
+        m = _canonical_csr(matrix)
         if m.shape != (basis.dim, basis.dim):
             raise ValueError(f"matrix shape {m.shape} does not match basis dim {basis.dim}")
-        m.sum_duplicates()
-        m.sort_indices()
         self.matrix = m
         self.basis = basis
         self.window = min(int(window), basis.n_max)
@@ -133,18 +135,21 @@ class OperatorMatrix:
             )
         return self.matrix @ other
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def _entrywise(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         self._check_compat(other)
         return OperatorMatrix(
-            self.matrix + other.matrix,
+            op(self.matrix, other.matrix),
             self.basis,
             window=min(self.window, other.window),
             lo=min(self.lo, other.lo),
             hi=max(self.hi, other.hi),
         )
 
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (-1.0) * other
+        return self._entrywise(other, operator.sub)
 
     def __mul__(self, alpha) -> "OperatorMatrix":
         return OperatorMatrix(self.matrix * alpha, self.basis, self.window, self.lo, self.hi)
@@ -157,9 +162,9 @@ class OperatorMatrix:
     def adjoint(self) -> "OperatorMatrix":
         n_max = self.basis.n_max
         w = min(self.window + self.lo, n_max + self.lo, n_max)
-        return OperatorMatrix(
-            self.matrix.conj().T.tocsr(), self.basis, window=w, lo=-self.hi, hi=-self.lo
-        )
+        m = self.matrix.T.tocsr()  # a new CSR with its own data, conjugated in place
+        np.conjugate(m.data, out=m.data)
+        return OperatorMatrix(m, self.basis, window=w, lo=-self.hi, hi=-self.lo)
 
     def with_window(self, window: int, lo: int, hi: int) -> "OperatorMatrix":
         """Re-declare metadata after an external verification justified it."""
@@ -181,10 +186,27 @@ class OperatorMatrix:
         )
 
 
+def _canonical_csr(matrix):
+    """matrix as a complex CSR with sorted, unique indices; one that already is one is kept, not copied."""
+    if not (isinstance(matrix, sparse.csr_matrix) and matrix.dtype == np.complex128):
+        matrix = sparse.csr_matrix(matrix, dtype=np.complex128)
+    if not matrix.has_canonical_format:
+        matrix.sum_duplicates()
+    return matrix
+
+
+def _column_abs_sums(m) -> np.ndarray:
+    """Column sums of |A| over a canonical CSR's stored entries, added in row order as abs(A).sum(axis=0) does."""
+    return np.bincount(m.indices, np.abs(m.data), minlength=m.shape[1])
+
+
 def diagonal(basis, values) -> OperatorMatrix:
-    """The diagonal operator with the given entries, one per basis state; it
-    keeps every shell, so it is exact on all of them."""
-    return OperatorMatrix(sparse.diags(np.asarray(values, dtype=np.complex128)), basis, basis.n_max, 0, 0)
+    """The diagonal operator with the given entries, one per basis state, zeros
+    not stored; it keeps every shell, so it is exact on all of them."""
+    values = np.asarray(values, dtype=np.complex128)
+    stored = values != 0
+    m = sparse.csr_matrix((values[stored], np.flatnonzero(stored), np.r_[0, np.cumsum(stored)]), shape=(basis.dim,) * 2)
+    return OperatorMatrix(m, basis, basis.n_max, 0, 0)
 
 
 def identity(basis) -> OperatorMatrix:
@@ -196,9 +218,7 @@ def op_norm_1(a) -> float:
 
     a is an OperatorMatrix or a scipy sparse matrix.
     """
-    if isinstance(a, OperatorMatrix):
-        a = a.matrix
-    return float(abs(a).sum(axis=0).max())
+    return float(_column_abs_sums(a.matrix if isinstance(a, OperatorMatrix) else _canonical_csr(a)).max())
 
 
 def residual_on_window(op: OperatorMatrix, window: int | None = None) -> float:
@@ -206,7 +226,7 @@ def residual_on_window(op: OperatorMatrix, window: int | None = None) -> float:
     (defaults to its own window): the largest column abs sum over the
     columns of those shells."""
     keep = op.basis.shells <= (op.window if window is None else window)
-    return float(np.asarray(abs(op.matrix).sum(axis=0)).ravel()[keep].max(initial=0.0))
+    return float(_column_abs_sums(op.matrix)[keep].max(initial=0.0))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

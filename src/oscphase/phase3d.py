@@ -107,10 +107,9 @@ def normalization_bracket(sph: SphericalBasis, params: OscParams, ops) -> np.nda
     scale = max(np.abs(diag).max(), 1.0)
     if op_norm_1(off) > NORM_OFFDIAG_TOL * scale:
         raise DegenerateSplitFailure("normalization bracket is not diagonal in this basis")
-    if np.any(diag <= 0.0):
-        raise SingularNormalization(
-            f"nonpositive normalization eigenvalue {diag.min()!r}"
-        )
+    if (bad := np.flatnonzero(diag <= 0.0)).size:
+        lab = sph.labels[bad[0]]
+        raise SingularNormalization(f"nonpositive normalization eigenvalue {diag[bad[0]]:.3e} at (n={lab.n}, l={lab.l}, m={lab.m})")
     return diag
 
 

@@ -235,9 +235,8 @@ def to_spherical(op: OperatorMatrix, sph: SphericalBasis) -> OperatorMatrix:
 
 def degeneracy_table(sph: SphericalBasis):
     """One row per shell: (N, E/w, multiplicity, sorted l values)."""
-    rows = []
-    for shell in range(sph.n_max + 1):
-        labs = [lab for lab in sph.labels if lab.shell == shell]
-        lvals = sorted({lab.l for lab in labs})
-        rows.append((shell, shell + 1.5, len(labs), lvals))
-    return rows
+    mult = np.bincount(sph.shells, minlength=sph.n_max + 1).tolist()
+    lvals = [set() for _ in mult]
+    for shell, l in zip(sph.shells.tolist(), sph.orbital.tolist()):
+        lvals[shell].add(l)
+    return [(shell, shell + 1.5, mult[shell], sorted(ls)) for shell, ls in enumerate(lvals)]

@@ -278,11 +278,12 @@ def _verify_subprocess(args, **env_extra):
     ],
 )
 def test_verify_extreme_parameters_exit_two_without_traceback(extreme):
-    # omega^2 or M omega^2 not finite is a config error; a build that
-    # underflows or overflows on the way is a numerical failure
+    # omega^2 or M omega^2 not finite, or underflowed to zero (omega 1e-200),
+    # is a config error, caught before any build
     run = _verify_subprocess(["--n-max", "2", *extreme.split()])
     assert run.returncode == 2, run.stderr
-    assert run.stderr.startswith(("config error: ", "numerical failure: "))
+    assert run.stderr.startswith("config error: ")
+    assert "must be finite and nonzero" in run.stderr
     assert "Traceback" not in run.stderr
 
 
@@ -366,3 +367,19 @@ def test_label_commands_load_no_sparse_stack(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env, check=True, timeout=300)
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--n-max", "8"], "verify_n_max_8.txt"),
+        (["--n-max", "4", "--mass", "1.5", "--omega", "0.75"], "verify_n_max_4_mass_1.5_omega_0.75.txt"),
+    ],
+)
+def test_verify_output_matches_golden(argv, golden, capsys):
+    # every byte of the report, residual digits included, is pinned
+    path = os.path.join(os.path.dirname(__file__), "data", golden)
+    with open(path) as fh:
+        want = fh.read()
+    assert run_cli(["verify", *argv]) == 0
+    assert capsys.readouterr().out == want

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscphase import (
+    OscParams,
     PhaseUndefined,
     StateSpec,
     UnwrapAmbiguity,
     WindingState,
+    build_model,
     classify_winding,
     energies,
     half_period_advance_check,
@@ -17,6 +19,7 @@ from oscphase import (
     tau_law_check,
     winding_interval,
 )
+from oscphase.checks import BRUTE_CHUNK, brute_expectations
 
 TWO_LEVEL = [((0, 0, 0), +1, 1 / np.sqrt(2)), ((1, 0, 0), +1, 1 / np.sqrt(2))]
 
@@ -147,3 +150,18 @@ def test_branch_strings():
     spec = StateSpec.of([((0, 0, 0), -1, 1.0)])
     assert spec.branch == "(-)"
     assert spec.branch_lambda() == -1
+
+
+@pytest.mark.parametrize("n_max", [8, 18])
+@pytest.mark.parametrize("lam", [+1, -1])
+def test_brute_expectations_match_single_time_propagation(n_max, lam):
+    # verify's chunked block products give, bit for bit, the expectations
+    # of one propagate call and one matrix-vector product per grid time
+    params = OscParams(1.5, 0.75)
+    pset = build_model(n_max, params, ("open",)).psets["open"]
+    spec = StateSpec.of([((0, 0, 0), lam, 1 / np.sqrt(2)), ((1, 0, 0), lam, 1 / np.sqrt(2))])
+    grid = np.linspace(0.0, 2.0 * np.pi / params.omega, 129)  # 8 full chunks and one of a single time
+    assert len(grid) % BRUTE_CHUNK == 1
+    e = pset.exp_plus.matrix
+    want = np.array([np.vdot(p, e @ p) for p in (propagate(spec, t, params, pset.doubled) for t in grid)])
+    assert brute_expectations(pset.exp_plus, spec, grid, params).tobytes() == want.tobytes()

@@ -320,3 +320,113 @@ def test_operators_share_three_ladders(monkeypatch):
     monkeypatch.setattr(oscphase.fock, "ladder", counting)
     cartesian_operators(build_basis(4), OscParams())
     assert sorted(calls) == ["x", "y", "z"]
+
+
+def _reference_column_sums(a) -> np.ndarray:
+    # the definition the CSR-array sums must match bit for bit; abs() sums
+    # duplicates in place, so it gets a copy
+    return np.asarray(abs(a.copy()).sum(axis=0)).ravel()
+
+
+def _norm_cases(dim):
+    rng = np.random.default_rng(7)
+    vals = rng.normal(size=6) + 1j * rng.normal(size=6)
+    rows, cols = np.array([0, 0, 3, 3, 3, dim - 1]), np.array([5, 2, 1, 1, 7, 2])
+    yield "explicit_zeros", sparse.csr_matrix((np.array([0.0, 1.5, 0.0, -2.0, 0.0, 1j]), (rows, cols + 1)), shape=(dim, dim))
+    # row 0 lists columns 5, 2; row 3 lists 7, 1
+    unsorted = sparse.csr_matrix((vals[:4], np.array([5, 2, 7, 1]), np.array([0, 2, 2, 2, 4] + [4] * (dim - 4))), shape=(dim, dim))
+    assert not unsorted.has_sorted_indices
+    yield "unsorted", unsorted
+    dup = sparse.csr_matrix((vals, np.array([2, 2, 1, 1, 1, 2]), np.array([0, 2, 2, 2, 5] + [5] * (dim - 5) + [6])), shape=(dim, dim))
+    yield "duplicates", dup
+    # at most two entries a column, where CSC's own column sums add in row order too
+    yield "csc", sparse.csc_matrix((vals, (rows, cols)), shape=(dim, dim))
+    yield "coo", sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    yield "real_csr", sparse.csr_matrix((vals.real, (rows, cols)), shape=(dim, dim))
+    yield "empty", sparse.csr_matrix((dim, dim), dtype=np.complex128)
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _norm_cases(10)])
+def test_norms_bit_equal_column_abs_sums(case):
+    basis = build_basis(2)  # dim 10
+    a = dict(_norm_cases(basis.dim))[case]
+    ref = _reference_column_sums(a)
+    assert op_norm_1(a.copy()) == float(ref.max())
+    op = OperatorMatrix(a.copy(), basis, basis.n_max)
+    assert op_norm_1(op) == float(ref.max())
+    for window in (-3, -1, 0, 1, 2, None):
+        keep = basis.shells <= (op.window if window is None else window)
+        assert residual_on_window(op, window) == float(ref[keep].max(initial=0.0))
+    assert residual_on_window(op, -1) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        max_size=40,
+    ),
+    fmt=st.sampled_from(["csr", "csc", "coo"]),
+    window=st.integers(-2, 3),
+)
+def test_norms_bit_equal_on_random_matrices(entries, fmt, window):
+    # duplicates, zeros and any storage order, as the raw triplets give them
+    basis = build_basis(2)
+    rows = [e[0] for e in entries]
+    cols = [e[1] for e in entries]
+    vals = np.array([complex(e[2], e[3]) for e in entries], dtype=np.complex128)
+    a = sparse.coo_matrix((vals, (rows, cols)), shape=(10, 10)).asformat(fmt)
+    # the sums run in row order, as over the canonical CSR the operators
+    # store; CSC's own sum(axis=0) adds a column's first entry to numpy's
+    # pairwise sum of the rest, which can differ in the last bit
+    ref = _reference_column_sums(a.tocsr())
+    if fmt != "csc":
+        assert np.array_equal(ref, _reference_column_sums(a))
+    assert op_norm_1(a.copy()) == float(ref.max())
+    keep = basis.shells <= window
+    assert residual_on_window(OperatorMatrix(a.copy(), basis, basis.n_max), window) == float(ref[keep].max(initial=0.0))
+
+
+def test_operator_algebra_keeps_canonical_csr(basis6, ops6):
+    # a product is canonicalised once; a canonical complex CSR is kept, not copied
+    prod = ops6.a["x"] @ ops6.adag["y"]
+    assert prod.matrix.has_canonical_format and prod.matrix.dtype == np.complex128
+    assert OperatorMatrix(prod.matrix, basis6, prod.window).matrix is prod.matrix
+    diff = ops6.r["x"] - ops6.p["x"]
+    want = ops6.r["x"] + (-1.0) * ops6.p["x"]
+    assert (diff.window, diff.lo, diff.hi) == (want.window, want.lo, want.hi)
+    assert np.array_equal(diff.toarray(), want.toarray())
+
+
+def test_diagonal_stores_only_nonzero_entries():
+    basis = build_basis(2)
+    values = np.array([0.0, 1.0, -0.0, 2.5j, 0, 0, 3.0, 0, 0, -1.0])
+    op = oscphase.fock.diagonal(basis, values)
+    assert op.nnz == 4 and op.matrix.has_canonical_format
+    assert np.array_equal(op.toarray(), np.diag(values.astype(np.complex128)))
+    assert np.array_equal(op.toarray(), sparse.diags(values.astype(np.complex128)).toarray())
+
+
+def test_run_all_checks_construction_counts(monkeypatch):
+    # the fixed per-operator overhead of verify, counted rather than timed:
+    # OperatorMatrix objects and scipy compressed (CSR/CSC) matrices built
+    from scipy.sparse import _compressed
+
+    from oscphase.checks import run_all_checks
+
+    counts = {"op": 0, "cs": 0}
+    op_init, cs_init = OperatorMatrix.__init__, _compressed._cs_matrix.__init__
+
+    def counting_op(self, *args, **kwargs):
+        counts["op"] += 1
+        op_init(self, *args, **kwargs)
+
+    def counting_cs(self, *args, **kwargs):
+        counts["cs"] += 1
+        cs_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OperatorMatrix, "__init__", counting_op)
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting_cs)
+    run_all_checks(4)
+    assert counts["op"] <= 662
+    assert counts["cs"] <= 1320

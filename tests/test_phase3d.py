@@ -16,6 +16,7 @@ from oscphase import (
     build_spherical,
     cartesian_operators,
     doubled_identity,
+    identity,
     inverse_shift_residuals,
     normalization_bracket,
     op_norm_1,
@@ -35,6 +36,15 @@ def test_normalization_bracket_matches_label_formula(sph6, params, ops6):
         dtype=float,
     )
     assert np.abs(diag - expect).max() < 1e-10 * expect.max()
+
+
+def test_singular_normalization_names_the_label(basis6, params, sph6):
+    # B - 100 w^2 is negative on every label; the first in label order is named
+    bad = cartesian_operators(basis6, params)
+    bad.l2 = bad.l2 + 100.0 * identity(basis6)
+    with pytest.raises(SingularNormalization) as exc:
+        normalization_bracket(sph6, params, bad)
+    assert str(exc.value) == "nonpositive normalization eigenvalue -9.400e+01 at (n=0, l=0, m=0)"
 
 
 def test_normalization_bracket_guards(basis6, params, ops6, sph6):

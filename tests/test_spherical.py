@@ -38,6 +38,20 @@ def test_degeneracy_table_frozen(sph6):
     assert rows[5] == (5, 6.5, 21, [1, 3, 5])
 
 
+@pytest.mark.parametrize("n_max", range(13))
+def test_degeneracy_table_matches_per_shell_scan(n_max):
+    # the one-pass table against its definition: rescan the labels per shell
+    sph = SphericalBasis(build_basis(n_max))
+    want = []
+    for shell in range(n_max + 1):
+        labs = [lab for lab in sph.labels if lab.shell == shell]
+        want.append((shell, shell + 1.5, len(labs), sorted({lab.l for lab in labs})))
+    got = degeneracy_table(sph)
+    assert got == want
+    assert [tuple(map(type, row)) for row in got] == [(int, float, int, list)] * (n_max + 1)
+    assert all(type(l) is int for row in got for l in row[3])
+
+
 def test_shell_three_content(sph6):
     labs = [lab for lab in sph6.labels if lab.shell == 3]
     assert len(labs) == 10

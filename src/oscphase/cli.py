@@ -8,16 +8,17 @@ Subcommands:
 
 Options may come from flags or from a config file of `key = value` lines
 (`#` starts a comment). Flags win over the file. Exit codes: 0 success,
-1 failed check or undefined phase, 2 bad configuration or a numerical
-failure of the build.
+1 failed check or undefined phase, 2 bad configuration, a numerical
+failure of the build, or an output that cannot be opened or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,10 +32,9 @@ from .spherical import DegenerateSplitFailure, degeneracy_table
 DEFAULT_STATE = "0,0,0,+ : 0.7071067811865476 ; 1,0,0,+ : 0.7071067811865476"
 
 CSV_HEADER = "t,re_exp_plus,im_exp_plus,abs_exp_plus,phi_unwound,tau,j,sigma,branch"
-CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s,%s\n"
-CSV_CHUNK_ROWS = 4096  # rows per write: bounds the memory of the formatted text
-# Largest trajectory grid, t_max/dt + 1 rows. The columnar trajectory and
-# its temporaries take about 75 bytes per row, so this is under 1 GB.
+CSV_CHUNK_ROWS = 1024  # rows per write: bounds the memory of the formatted text
+# Largest trajectory grid, t_max/dt + 1 rows: the columns and temporaries peak at 77
+# bytes a row (tracemalloc, 1,000,001 rows), the CSV text at one chunk: under 1 GB.
 MAX_TRAJECTORY_ROWS = 10_000_000
 # Config keys that only some subcommands read; the others reject them, as
 # their parsers reject the matching flags.
@@ -164,13 +164,21 @@ def _fmt(x: float) -> str:
     return format(float(x) + 0.0, ".17g")  # + 0.0 folds -0.0 into 0.0
 
 
+class OutputError(Exception):
+    pass
+
+
 @contextmanager
 def _output(cfg: RunConfig):
-    if cfg.out is None:
-        yield sys.stdout
-    else:
-        with open(cfg.out, "w") as fh:
-            yield fh
+    """The stream to write to; OutputError when it cannot be opened or written."""
+    try:
+        with nullcontext(sys.stdout) if cfg.out is None else open(cfg.out, "w") as stream:
+            yield stream
+            stream.flush()  # a closed pipe shows here, not at shutdown
+    except OSError as exc:
+        if cfg.out is None and isinstance(exc, BrokenPipeError):  # flush the rest to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OutputError("%s: %s" % ("stdout" if cfg.out is None else cfg.out, exc.strerror or exc)) from exc
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -215,17 +223,10 @@ def cmd_trajectory(cfg: RunConfig) -> int:
         traj = phase_trajectory(spec, times, params, pset)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    from ._csv import write_trajectory  # compiled only where a CSV is written
     with _output(cfg) as stream:
         stream.write(CSV_HEADER + "\n")
-        for k in range(0, len(traj), CSV_CHUNK_ROWS):
-            rows = slice(k, k + CSV_CHUNK_ROWS)
-            e = traj.exp_plus[rows]
-            # hypot rounds like abs(complex); np.abs can differ in the last digit
-            modulus = np.hypot(e.real, e.imag)
-            floats = (traj.t[rows], e.real, e.imag, modulus, traj.phi[rows], traj.tau[rows])
-            columns = [(c + 0.0).tolist() for c in floats]  # + 0.0 folds -0.0 as _fmt does
-            columns += [traj.j[rows].tolist(), traj.sigma[rows].tolist(), [traj.branch] * len(e)]
-            stream.write("".join(CSV_ROW % row for row in zip(*columns)))
+        write_trajectory(stream, traj, CSV_CHUNK_ROWS)
     return 0
 
 
@@ -327,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (DegenerateSplitFailure, SingularNormalization) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print("output error: %s" % exc, file=sys.stderr)
         return 2
 
 

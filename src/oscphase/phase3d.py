@@ -311,8 +311,8 @@ class Model:
 
     @cached_property
     def eigenbasis(self) -> SphericalBasis:
-        """The spherical basis with the column map U, built in closed form by build_spherical."""
-        return build_spherical(self.basis, self.params, self.ops)
+        """The spherical basis with the column map U, by build_spherical on the label tables of sph."""
+        return build_spherical(self.basis, self.params, self.ops, labels=self.sph)
 
     @cached_property
     def h(self) -> OperatorMatrix:

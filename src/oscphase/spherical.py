@@ -23,6 +23,7 @@ so also wherever (-1)^nz differs from (-1)^(l+m), since nz = N - m mod 2.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,9 @@ def _unit_columns(block: np.ndarray) -> np.ndarray:
     return block / np.linalg.norm(block, axis=0)  # an add.reduce, so no BLAS summation order
 
 
-def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) -> SphericalBasis:
+def build_spherical(
+    basis: Basis3D, params: OscParams, ops: CartesianOperators, *, labels: SphericalBasis | None = None
+) -> SphericalBasis:
     """Assemble the chain-phased column map in closed form, with no eigensolve.
 
     U is block-diagonal by (N, m): the ladders below keep m = n+ - n-, and
@@ -140,7 +143,8 @@ def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) 
 
     Raises DegenerateSplitFailure, naming the shell and the label, when U is
     not unitary to 1e-12 or a column fails its eigenvector residual check
-    at 1e-10; this is the only check of the labels.
+    at 1e-10; this is the only check of the labels. labels, a
+    SphericalBasis(basis) already built, lends the result its label tables.
     """
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for shell in range(basis.n_max + 1):
@@ -183,7 +187,7 @@ def build_spherical(basis: Basis3D, params: OscParams, ops: CartesianOperators) 
     u = u @ (1.5 * sparse.identity(basis.dim, format="csr") - 0.5 * (u.T @ u))  # U is real
     u.eliminate_zeros()
 
-    sph = SphericalBasis(basis)
+    sph = copy.copy(labels) if labels is not None else SphericalBasis(basis)
     sph.u = u
     sph.unitary_defect, sph.eigen_residual = _validate(sph, ops, params)
     return sph

@@ -424,3 +424,18 @@ def test_cyclic_set_does_not_inherit_the_open_exponential(field, params):
     assert getattr(cyc, field) is not opened
     assert abs(getattr(cyc, field).matrix - getattr(fresh, field).matrix).max() == 0.0
     assert abs(getattr(cyc, field).matrix - opened.matrix).max() > 0.0  # the wrap entries
+
+
+def test_model_builds_the_spherical_labels_once(params, monkeypatch):
+    from oscphase import spherical
+
+    inits = []
+    original = spherical.SphericalBasis.__init__
+    monkeypatch.setattr(spherical.SphericalBasis, "__init__", lambda self, cart: inits.append(cart) or original(self, cart))
+    model = build_model(4, params, ("open",))
+    eig = model.eigenbasis
+    assert len(inits) == 1
+    assert eig.labels is model.sph.labels and eig.index is model.sph.index and eig.links is model.sph.links
+    assert model.sph.u is None and eig.column_map() is eig.u
+    alone = build_spherical(model.basis, params, model.ops)
+    assert len(inits) == 2 and alone.labels == eig.labels and (alone.u != eig.u).nnz == 0

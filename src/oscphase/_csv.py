@@ -70,7 +70,7 @@ def _distinct_slots(values: np.ndarray, fmt: str) -> np.ndarray:
 
 def write_trajectory(stream, traj, chunk_rows: int) -> None:
     """The rows of a trajectory as CSV, chunk_rows a write, from NUL-padded cells whose NULs are dropped."""
-    for k in range(0, len(traj), chunk_rows):
+    for k in range(0, traj.t.size, chunk_rows):
         rows = slice(k, k + chunk_rows)
         e = traj.exp_plus[rows]
         # hypot rounds like abs(complex); np.abs can differ in the last digit

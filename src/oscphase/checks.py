@@ -16,7 +16,7 @@ import numpy as np
 
 from .evolution import (
     StateSpec,
-    classify_winding,
+    _winding_columns,
     energies,
     half_period_advance_check,
     phase_trajectory,
@@ -32,6 +32,7 @@ from .fock import (
     diagonal,
     hamiltonian,
     identity,
+    masked_norm,
     op_norm_1,
     residual_on_window,
     vector_ladder_squared,
@@ -392,15 +393,15 @@ def _phase1d_checks(ctx: Model) -> list[CheckReport]:
         out.append(CheckReport("doubled_chain_1d", law, mode, chain.n_max, resid, TOL_UNITARY))
 
         h = hamiltonian_1d(chain, ctx.ops.params.omega)
-        p_plus = diagonal(chain, np.arange(chain.dim) > chain.n_max)  # positions of |n, +>
-        law_op = p_plus @ (commutator(h, shift) + ctx.ops.params.omega * shift) @ p_plus
+        plus = np.arange(chain.dim) > chain.n_max  # positions of |n, +>
+        law_op = commutator(h, shift) + ctx.ops.params.omega * shift
         out.append(
             CheckReport(
                 "commutator_law_1d",
                 "<chi+|[H,E]|psi+> = -w <chi+|E|psi+>",
                 mode,
                 chain.n_max,
-                _rel(op_norm_1(law_op), ctx.ops.params.omega * max(op_norm_1(shift), 1.0)),
+                _rel(masked_norm(law_op, plus, plus), ctx.ops.params.omega * max(op_norm_1(shift), 1.0)),
                 TOL_SANDWICH,
             )
         )
@@ -540,7 +541,7 @@ def _phase3d_checks(
     if mode == "cyclic":
         pyth_res = op_norm_1(pyth)
     else:
-        pyth_res = op_norm_1(pyth @ (ident - pset.chain_end_projector(+1) - pset.chain_end_projector(-1)))
+        pyth_res = masked_norm(pyth, cols=d.interior)  # away from both copies' chain ends
     out.append(
         CheckReport(
             "trig_pair",
@@ -575,13 +576,12 @@ def _phase3d_checks(
         out.append(CheckReport(name, law, mode, d.n_max - 2, rec[key], TOL_RECONSTRUCTION))
 
     w = params.omega
-    p_plus = pset.branch_projector(+1)
-    p_minus = pset.branch_projector(-1)
+    plus, minus = d.branch_mask(+1), d.branch_mask(-1)
     scale = 2.0 * w * max(op_norm_1(e2), 1.0)
     comm_e, comm_e_adj = commutator(h_d, e2), commutator(h_d, pset.exp_minus)
     resid = max(
-        _rel(op_norm_1(p_plus @ (comm_e + (2.0 * w) * e2) @ p_plus), scale),
-        _rel(op_norm_1(p_plus @ (comm_e_adj - (2.0 * w) * pset.exp_minus) @ p_plus), scale),
+        _rel(masked_norm(comm_e + (2.0 * w) * e2, plus, plus), scale),
+        _rel(masked_norm(comm_e_adj - (2.0 * w) * pset.exp_minus, plus, plus), scale),
     )
     out.append(
         CheckReport(
@@ -594,8 +594,8 @@ def _phase3d_checks(
         )
     )
     resid = max(
-        _rel(op_norm_1(p_minus @ (comm_e - (2.0 * w) * e2) @ p_minus), scale),
-        _rel(op_norm_1(p_minus @ (comm_e_adj + (2.0 * w) * pset.exp_minus) @ p_minus), scale),
+        _rel(masked_norm(comm_e - (2.0 * w) * e2, minus, minus), scale),
+        _rel(masked_norm(comm_e_adj + (2.0 * w) * pset.exp_minus, minus, minus), scale),
     )
     out.append(
         CheckReport(
@@ -626,16 +626,22 @@ def _phase3d_checks(
 
 
 def brute_expectations(op: OperatorMatrix, spec: StateSpec, t_grid, params: OscParams) -> np.ndarray:
-    """<psi(t)| op |psi(t)> at each grid time by brute force over op's whole
-    doubled basis: one sparse product per block of BRUTE_CHUNK states
-    psi(0) exp(-iEt), exp taken once per level of H. Bit for bit one
-    propagate, matrix-vector product and np.vdot per time."""
+    """<psi(t)| op |psi(t)> at each grid time by propagating the state and
+    multiplying by op on the rows and columns of the state's support only:
+    one sparse product per block of BRUTE_CHUNK states psi(0) exp(-iEt), exp
+    taken once per level of H. Entries off the support add exact zeros, so
+    psi(t) and op psi(t) are bit for bit those of one propagate and one
+    matrix-vector product per time. np.vdot over the support then gives the
+    whole-basis np.vdot's bits where at most one term is nonzero, as for
+    verify's two-label states; with more, BLAS may add them in another order."""
     vec = state_vector(spec, op.basis)
-    rates, level = np.unique(-1j * energies(op.basis, params), return_inverse=True)
+    support = np.flatnonzero(vec)
+    block = op.matrix[support][:, support]
+    rates, level = np.unique(-1j * energies(op.basis, params)[support], return_inverse=True)
     out = []
     for start in range(0, len(t_grid), BRUTE_CHUNK):
-        psis = vec[:, None] * np.exp(rates[:, None] * t_grid[start : start + BRUTE_CHUNK])[level]
-        out += map(np.vdot, psis.T.copy(), (op.matrix @ psis).T.copy())
+        psis = vec[support, None] * np.exp(rates[:, None] * t_grid[start : start + BRUTE_CHUNK])[level]
+        out += map(np.vdot, psis.T.copy(), (block @ psis).T.copy())
     return np.array(out, dtype=np.complex128)
 
 
@@ -651,19 +657,15 @@ def _evolution_checks(ctx: Model) -> list[CheckReport]:
     )
     mismatch = 0
     for branch in ("(+)", "(-)"):
-        for phi in phis:
-            ws = classify_winding(float(phi), branch)
-            lo, hi = winding_interval(ws.j, ws.sigma, branch)
-            if not (lo < phi <= hi):
-                mismatch += 1
-            hits = 0
-            for j in range(ws.j - 2, ws.j + 3):
-                for sigma in ("-", "+"):
-                    lo, hi = winding_interval(j, sigma, branch)
-                    if lo < phi <= hi:
-                        hits += 1
-            if hits != 1:
-                mismatch += 1
+        j, sigma = _winding_columns(phis, branch)
+        lo, hi = winding_interval(j, sigma, branch)
+        mismatch += np.count_nonzero(~((lo < phis) & (phis <= hi)))
+        # of the cells of labels j - 2 .. j + 2, either sigma, exactly one holds phi
+        hits = 0
+        for sig in ("-", "+"):
+            low, high = winding_interval(j[:, None] + np.arange(-2, 3), sig, branch)
+            hits = hits + ((low < phis[:, None]) & (phis[:, None] <= high)).sum(axis=1)
+        mismatch += np.count_nonzero(hits != 1)
     out.append(
         CheckReport(
             "winding_cells_tile",

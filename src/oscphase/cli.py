@@ -25,7 +25,7 @@ import numpy as np
 
 from .checks import run_all_checks
 from .evolution import PhaseUndefined, StateSpec, phase_trajectory
-from .fock import OscParams, op_norm_1
+from .fock import OscParams, masked_norm, op_norm_1
 from .phase3d import SingularNormalization, build_model, doubled_identity
 from .spherical import DegenerateSplitFailure, degeneracy_table
 
@@ -33,7 +33,7 @@ DEFAULT_STATE = "0,0,0,+ : 0.7071067811865476 ; 1,0,0,+ : 0.7071067811865476"
 
 CSV_HEADER = "t,re_exp_plus,im_exp_plus,abs_exp_plus,phi_unwound,tau,j,sigma,branch"
 CSV_CHUNK_ROWS = 1024  # rows per write: bounds the memory of the formatted text
-# Largest trajectory grid, t_max/dt + 1 rows: the columns and temporaries peak at 77
+# Largest trajectory grid, t_max/dt + 1 rows: the columns and temporaries peak at 69
 # bytes a row (tracemalloc, 1,000,001 rows), the CSV text at one chunk: under 1 GB.
 MAX_TRAJECTORY_ROWS = 10_000_000
 # Config keys that only some subcommands read; the others reject them, as
@@ -98,11 +98,15 @@ def load_config(path: str, command: str | None = None) -> RunConfig:
     valid = {f.name for f in fields(RunConfig)}
     overrides = {}
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()  # at \n, \r and \r\n, as text mode splits
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError("%s:%d: byte 0x%02x is not UTF-8 text" % (path, lineno, raw[exc.start])) from exc
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -186,10 +190,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     w2 = cfg.omega * cfg.omega
     if not all(math.isfinite(x) and x != 0.0 for x in (w2, cfg.mass * w2)):
         raise ConfigError("omega^2 and mass * omega^2 must be finite and nonzero, got omega=%r mass=%r" % (cfg.omega, cfg.mass))
-    params = OscParams(cfg.mass, cfg.omega)
-    reports = run_all_checks(cfg.n_max, params)
     failed = 0
-    with _output(cfg) as stream:
+    with _output(cfg) as stream:  # opened first: an unwritable --out fails before any build
+        reports = run_all_checks(cfg.n_max, OscParams(cfg.mass, cfg.omega))
         for rep in reports:
             status = "PASS" if rep.passed else "FAIL"
             failed += 0 if rep.passed else 1
@@ -218,9 +221,8 @@ def cmd_trajectory(cfg: RunConfig) -> int:
                 "state label (%d,%d,%d) needs 2n+l <= n_max=%d" % (label.n, label.l, label.m, cfg.n_max)
             )
     pset = build_model(cfg.n_max, params, (cfg.mode,)).psets[cfg.mode]
-    times = np.arange(int(round(n_steps)) + 1) * cfg.dt
-    try:
-        traj = phase_trajectory(spec, times, params, pset)
+    try:  # the grid is handed over, not held: the trajectory's t is the one copy
+        traj = phase_trajectory(spec, np.arange(int(round(n_steps)) + 1) * cfg.dt, params, pset)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     from ._csv import write_trajectory  # compiled only where a CSV is written
@@ -250,7 +252,7 @@ def cmd_unitarity_scan(cfg: RunConfig) -> int:
         open_pset, cyc_pset = psets["open"], psets["cyclic"]
         ident = doubled_identity(open_pset.doubled)
         open_gap = open_pset.exp_minus @ open_pset.exp_plus - ident
-        open_interior = op_norm_1(open_gap @ open_pset.interior_projector())
+        open_interior = masked_norm(open_gap, cols=open_pset.doubled.interior)
         cyc_defect = op_norm_1(cyc_pset.exp_minus @ cyc_pset.exp_plus - ident)
         rows.append((n_max, op_norm_1(open_gap), open_interior, cyc_defect))
     with _output(cfg) as stream:

@@ -92,16 +92,6 @@ class WindingState:
     branch: str
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    exp_plus: complex
-    exp_minus: complex
-    phi_unwound: float
-    tau: float
-    winding: WindingState
-
-
 def energies(doubled: DoubledBasis, params: OscParams) -> np.ndarray:
     """Diagonal Hamiltonian over the doubled labels, identical on both copies."""
     single = params.omega * (doubled.spherical.shells + 1.5)
@@ -136,7 +126,7 @@ def propagate(spec: StateSpec, t: float, params: OscParams, doubled: DoubledBasi
     return vec * np.exp(-1j * energies(doubled, params) * t)
 
 
-def _wrap_pi(x: float) -> float:
+def _wrap_pi(x):
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
@@ -157,10 +147,10 @@ def _winding_columns(phi: np.ndarray, branch: str) -> tuple[np.ndarray, np.ndarr
     return half, np.where(odd == 1, "-", "+")
 
 
-def _cell_from_winding(j: int, sigma: str, branch: str) -> int:
+def _cell_from_winding(j, sigma, branch: str):
     if branch == "(+)":
-        return -2 * j if sigma == "-" else -2 * j - 1
-    return 2 * j if sigma == "+" else 2 * j - 1
+        return -2 * j - (sigma != "-")
+    return 2 * j - (sigma != "+")
 
 
 def classify_winding(phi: float, branch: str) -> WindingState:
@@ -179,8 +169,9 @@ def classify_winding(phi: float, branch: str) -> WindingState:
     return WindingState(j=int(j[0]), sigma=str(sigma[0]), branch=branch)
 
 
-def winding_interval(j: int, sigma: str, branch: str) -> tuple[float, float]:
-    """Half-open cell (low, high] for the given winding label.
+def winding_interval(j, sigma, branch: str) -> tuple:
+    """Half-open cell (low, high] for the given winding label; j and sigma
+    may also be arrays, which give arrays of bounds.
 
     Adjacent cells share the exact float boundary k * math.pi, so the
     cells tile the line with no gaps or overlaps at the float level.
@@ -216,10 +207,10 @@ def expectation_series(deltas, coeffs, omega: float, t_grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Columns of a phase trajectory, one entry per grid time.
-
-    len, indexing and iteration yield TrajectoryPoint rows.
-    """
+    """Columns of a phase trajectory, one entry per grid time t: the
+    expectation exp_plus of the phase exponential (exp_minus is its
+    conjugate), the unwound phase phi, tau = -phi / w, and the winding
+    label (j, sigma) of each phi on the branch."""
 
     t: np.ndarray
     exp_plus: np.ndarray
@@ -228,23 +219,6 @@ class Trajectory:
     j: np.ndarray
     sigma: np.ndarray
     branch: str
-
-    def __len__(self) -> int:
-        return self.t.size
-
-    def __getitem__(self, k: int) -> TrajectoryPoint:
-        e = complex(self.exp_plus[k])
-        return TrajectoryPoint(
-            t=float(self.t[k]),
-            exp_plus=e,
-            exp_minus=e.conjugate(),
-            phi_unwound=float(self.phi[k]),
-            tau=float(self.tau[k]),
-            winding=WindingState(j=int(self.j[k]), sigma=str(self.sigma[k]), branch=self.branch),
-        )
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
 
 def phase_trajectory(
@@ -257,8 +231,11 @@ def phase_trajectory(
     exponential is exact). There the expectation has the single spectral
     component C exp(i D w t), and phi(t) = (arg C + D w t) / 2 with
     arg C in (-pi, pi]: exact on any grid, however coarse.
+
+    A 1D float64 t_grid is not copied: the trajectory's t is the caller's
+    array, and a later write to it shows in t.
     """
-    t_grid = np.array(t_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all():
         raise ValueError("t_grid must be a nonempty 1D array of finite times")
     branch = spec.branch
@@ -299,23 +276,21 @@ class TauFit:
     max_residual: float
 
 
-def tau_law_check(points: Trajectory | list[TrajectoryPoint]) -> TauFit:
+def tau_law_check(traj: Trajectory) -> TauFit:
     """Least-squares line through tau(t); raises on unusable grids.
 
     A single point leaves the slope undefined, and any step that moves
     the raw argument of exp_plus by pi/2 or more makes the unwrapping
     ambiguous; both raise UnwrapAmbiguity.
     """
-    if len(points) < 2:
+    if traj.t.size < 2:
         raise UnwrapAmbiguity("at least two grid points are needed for a slope")
-    raw = np.angle([p.exp_plus for p in points])
-    steps = np.abs([_wrap_pi(b - a) for a, b in zip(raw[:-1], raw[1:])])
+    steps = np.abs(_wrap_pi(np.diff(np.angle(traj.exp_plus))))
     if np.any(steps >= MAX_RAW_STEP):
         raise UnwrapAmbiguity(
             f"raw argument step {steps.max():.3f} rad >= pi/2; refine the grid"
         )
-    ts = np.array([p.t for p in points])
-    taus = np.array([p.tau for p in points])
+    ts, taus = traj.t, traj.tau
     # polyfit squares its abscissae: fit on t / 2^e in [-1, 1], an exact
     # rescaling that leaves every fit with a representable t^2 unchanged
     _, e = np.frexp(np.abs(ts).max())
@@ -346,13 +321,12 @@ def half_period_advance_check(
     dt = 0.5 * t0 / steps_per_half
     n_half = 2 * periods
     grid = np.arange(n_half * steps_per_half + 1) * dt
-    points = phase_trajectory(spec, grid, params, pset)
+    traj = phase_trajectory(spec, grid, params, pset)
     entries = []
     ok = True
     prev = None
-    for h in range(n_half + 1):
-        p = points[h * steps_per_half]
-        observed = p.winding
+    for k in range(0, grid.size, steps_per_half):
+        observed = WindingState(j=int(traj.j[k]), sigma=str(traj.sigma[k]), branch=traj.branch)
         if prev is None:
             expected = None
         elif prev.sigma == "-":
@@ -361,6 +335,6 @@ def half_period_advance_check(
             expected = WindingState(j=prev.j + 1, sigma="-", branch=prev.branch)
         if expected is not None and observed != expected:
             ok = False
-        entries.append((p.t, p.phi_unwound, observed, expected))
+        entries.append((float(traj.t[k]), float(traj.phi[k]), observed, expected))
         prev = observed
     return HalfPeriodReport(entries=tuple(entries), ok=ok)

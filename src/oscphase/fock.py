@@ -221,12 +221,28 @@ def op_norm_1(a) -> float:
     return float(_column_abs_sums(a.matrix if isinstance(a, OperatorMatrix) else _canonical_csr(a)).max())
 
 
+def masked_norm(a, rows=None, cols=None) -> float:
+    """op_norm_1(P_rows @ a @ P_cols), bit for bit, for the 0/1 diagonal
+    projectors of the boolean masks rows and cols (None keeps every state),
+    without forming the products: the column abs sums of the stored entries
+    in kept rows, added in row order as the product's are, at kept columns.
+
+    a is an OperatorMatrix or a canonical CSR matrix.
+    """
+    m = a.matrix if isinstance(a, OperatorMatrix) else a
+    if rows is None:
+        sums = _column_abs_sums(m)
+    else:
+        kept = np.repeat(rows, np.diff(m.indptr))
+        sums = np.bincount(m.indices[kept], np.abs(m.data[kept]), minlength=m.shape[1])
+    return float((sums if cols is None else sums[cols]).max(initial=0.0))
+
+
 def residual_on_window(op: OperatorMatrix, window: int | None = None) -> float:
     """1-norm of the operator restricted to inputs on shells <= window
     (defaults to its own window): the largest column abs sum over the
     columns of those shells."""
-    keep = op.basis.shells <= (op.window if window is None else window)
-    return float(_column_abs_sums(op.matrix)[keep].max(initial=0.0))
+    return masked_norm(op, cols=op.basis.shells <= (op.window if window is None else window))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

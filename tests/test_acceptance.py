@@ -243,9 +243,9 @@ def test_criterion_08_two_level_evolution():
     for lam, sign in ((+1, +1.0), (-1, -1.0)):
         spec = StateSpec.of([((0, 0, 0), lam, 1 / np.sqrt(2)), ((1, 0, 0), lam, 1 / np.sqrt(2))])
         pts = phase_trajectory(spec, t, params, pset)
-        vals = np.array([p.exp_plus for p in pts])
+        vals = pts.exp_plus
         worst_mod = max(worst_mod, float(np.abs(np.abs(vals) - 0.5).max()))
-        phis = np.array([p.phi_unwound for p in pts])
+        phis = pts.phi
         worst_arg = max(worst_arg, float(np.abs(phis - (phis[0] - sign * params.omega * t)).max()))
         fit = tau_law_check(pts)
         worst_slope = max(worst_slope, abs(fit.slope - sign))

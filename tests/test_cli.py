@@ -123,9 +123,10 @@ def test_trajectory_chunks_match_row_formatting(tmp_path, monkeypatch):
     pset = build_phase_operators(build_spherical(basis, params, ops), params, "open", ops)
     traj = phase_trajectory(parse_state(state), np.arange(31) * 0.1, params, pset)
     want = [CSV_HEADER]
-    for p in traj:
-        floats = (p.t, p.exp_plus.real, p.exp_plus.imag, abs(p.exp_plus), p.phi_unwound, p.tau)
-        labels = [str(p.winding.j), p.winding.sigma, p.winding.branch]
+    for k in range(traj.t.size):
+        e = complex(traj.exp_plus[k])
+        floats = (traj.t[k], e.real, e.imag, abs(e), traj.phi[k], traj.tau[k])
+        labels = [str(traj.j[k]), str(traj.sigma[k]), traj.branch]
         want.append(",".join([cli._fmt(v) for v in floats] + labels))
     assert out.read_text() == "\n".join(want) + "\n"
 
@@ -179,6 +180,23 @@ def test_config_errors_exit_two(tmp_path, capsys):
     bad.write_text("just some words\n")
     assert run_cli(["verify", "--config", str(bad)]) == 2
     assert run_cli(["verify", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_config_byte_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"n_max = 2\n# caf\xe9\nmass = 1.0\n")
+    assert run_cli(["spectrum", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == "config error: %s:2: byte 0xe9 is not UTF-8 text\n" % bad
+
+
+def test_verify_unwritable_out_fails_before_checks(tmp_path, capsys, monkeypatch):
+    def no_checks(*args):
+        raise AssertionError("run_all_checks called for an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_all_checks", no_checks)
+    missing = tmp_path / "missing" / "verify.txt"
+    assert run_cli(["verify", "--n-max", "2", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err == "output error: %s: No such file or directory\n" % missing
 
 
 def test_config_mode_key_only_for_trajectory(tmp_path, capsys, monkeypatch):

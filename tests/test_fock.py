@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -16,6 +16,7 @@ from oscphase import (
     commutator,
     identity,
     ladder,
+    masked_norm,
     op_norm_1,
     residual_on_window,
 )
@@ -387,6 +388,40 @@ def test_norms_bit_equal_on_random_matrices(entries, fmt, window):
     assert residual_on_window(OperatorMatrix(a.copy(), basis, basis.n_max), window) == float(ref[keep].max(initial=0.0))
 
 
+MASK = st.none() | st.lists(st.booleans(), min_size=10, max_size=10).map(np.array)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        max_size=40,
+    ),
+    rows=MASK,
+    cols=MASK,
+)
+@example(entries=[], rows=None, cols=None)  # no stored entries
+@example(entries=[(1, 2, 0.0, 0.0), (3, 2, 1.0, -2.0)], rows=np.zeros(10, bool), cols=None)
+@example(entries=[(0, 0, 0.0, 0.0), (4, 4, 2.5, 0.0)], rows=None, cols=np.zeros(10, bool))
+@example(entries=[(0, 0, 0.0, 0.0), (0, 4, -0.0, 3.0), (4, 0, 1.5, 0.5)], rows=np.arange(10) < 5, cols=np.arange(10) % 2 == 0)
+def test_masked_norm_bit_equal_projector_sandwich(entries, rows, cols):
+    # op_norm_1 of scipy's product P_r @ A @ P_c, with the 0/1 diagonal
+    # projectors stored as fock.diagonal stores them, is the masked norm;
+    # explicit zeros (a zero value stays stored) and empty masks included
+    basis = build_basis(2)
+    vals = np.array([complex(e[2], e[3]) for e in entries], dtype=np.complex128)
+    coo = sparse.coo_matrix((vals, ([e[0] for e in entries], [e[1] for e in entries])), shape=(10, 10))
+    a = OperatorMatrix(coo, basis, basis.n_max)
+
+    def projector(mask):
+        keep = np.ones(10, bool) if mask is None else mask
+        return sparse.csr_matrix((np.ones(keep.sum(), np.complex128), np.flatnonzero(keep), np.r_[0, np.cumsum(keep)]), shape=(10, 10))
+
+    want = op_norm_1(projector(rows) @ a.matrix @ projector(cols))
+    assert masked_norm(a, rows, cols) == want
+    assert masked_norm(a.matrix, rows, cols) == want
+
+
 def test_operator_algebra_keeps_canonical_csr(basis6, ops6):
     # a product is canonicalised once; a canonical complex CSR is kept, not copied
     prod = ops6.a["x"] @ ops6.adag["y"]
@@ -428,5 +463,5 @@ def test_run_all_checks_construction_counts(monkeypatch):
     monkeypatch.setattr(OperatorMatrix, "__init__", counting_op)
     monkeypatch.setattr(_compressed._cs_matrix, "__init__", counting_cs)
     run_all_checks(4)
-    assert counts["op"] <= 662
-    assert counts["cs"] <= 1320
+    assert counts["op"] <= 609
+    assert counts["cs"] <= 1130

@@ -70,6 +70,8 @@ MALFORMED = {
     "short_record": (lambda ls: [*ls[:3], ls[3].rsplit(" ", 1)[0], *ls[4:]], 4),
     "index_out_of_range": (lambda ls: [*ls[:4], "0 9999 1 0", *ls[5:]], 5),
     "nnz_mismatch": (lambda ls: ls[:-1], 2),
+    # a byte that is not ASCII (the text is written as UTF-8)
+    "non_ascii_byte": (lambda ls: [*ls[:3], ls[3] + " \u00e9", *ls[4:]], 4),
 }
 
 
@@ -80,4 +82,14 @@ def test_malformed_file_names_file_and_line(tmp_path, basis6, ops6, case):
     save_operator(path, ops6.h)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match="^%s:%d: " % (re.escape(str(path)), line)):
+        load_operator(path, basis6)
+
+
+def test_duplicate_record_names_both_lines(tmp_path, basis6, ops6):
+    path = tmp_path / "h.op"
+    save_operator(path, ops6.h)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:6], lines[3], *lines[7:]]) + "\n")
+    row, col = lines[3].split()[:2]
+    with pytest.raises(ValueError, match=r"^%s:7: second record for \(%s, %s\); the first is on line 4$" % (re.escape(str(path)), row, col)):
         load_operator(path, basis6)

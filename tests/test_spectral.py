@@ -140,13 +140,23 @@ def test_trajectory_rows_match_columns(pset6_open, params):
     )
     t = np.linspace(0.0, 20.0, 401)
     traj = phase_trajectory(spec, t, params, pset6_open)
-    assert len(traj) == len(list(traj)) == t.size
-    for k, p in enumerate(traj):
-        assert p.t == t[k] and p.exp_plus == traj.exp_plus[k]
-        assert p.exp_minus == np.conj(traj.exp_plus[k])
-        assert p.tau == -p.phi_unwound / params.omega
-        assert p.winding == classify_winding(p.phi_unwound, "(-)")
-    assert traj[-1].t == 20.0
+    assert all(col.shape == t.shape for col in (traj.exp_plus, traj.phi, traj.tau, traj.j, traj.sigma))
+    assert np.array_equal(traj.t, t) and traj.branch == "(-)"
+    assert np.array_equal(traj.tau, -traj.phi / params.omega)
+    for k in range(t.size):
+        ws = classify_winding(float(traj.phi[k]), "(-)")
+        assert (ws.j, ws.sigma) == (traj.j[k], traj.sigma[k])
+
+
+def test_trajectory_t_is_the_callers_float_grid(pset6_open, params):
+    # one copy of the grid: a float64 array is kept, as the docstring says,
+    # and any other grid is converted into an array of the trajectory's own
+    t = np.linspace(0.0, 1.0, 11)
+    assert phase_trajectory(StateSpec.of(TWO_LEVEL), t, params, pset6_open).t is t
+    grid = [0.0, 0.1]
+    traj = phase_trajectory(StateSpec.of(TWO_LEVEL), grid, params, pset6_open)
+    grid[1] = 5.0
+    assert traj.t.tolist() == [0.0, 0.1]
 
 
 @pytest.mark.parametrize("branch", ["(+)", "(-)"])

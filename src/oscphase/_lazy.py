@@ -1,8 +1,10 @@
-"""scipy.sparse, imported on first use. Its import costs more time and peak
-memory than numpy's (0.5 s against 0.2 s, 49 MB against 27 MB, scipy 1.17 on
+"""scipy.sparse, imported on first use. A fresh process that imports numpy
+and scipy.sparse takes 0.27 s and 49 MB of peak memory, against 0.11 s and
+27 MB for numpy alone (medians of 7, scipy 1.17, numpy 2.4, Python 3.11 on
 a 2-CPU x86-64 Linux host), and `trajectory` and `spectrum` never build a
 sparse matrix. Every module takes `sparse` from here in place of
-`from scipy import sparse`."""
+`from scipy import sparse`, and fock reaches scipy's compiled routines as
+`sparse._sparsetools`."""
 
 from __future__ import annotations
 

@@ -132,13 +132,12 @@ def run_all_checks(n_max: int = 8, params: OscParams | None = None) -> list[Chec
 def _fock_checks(ctx: Model) -> list[CheckReport]:
     ops, params = ctx.ops, ctx.ops.params
     w = params.omega
+    ident = identity(ctx.basis)
     out = []
 
     worst = 0.0
     for ax in AXES:
-        r, win = _comm_residual(
-            ops.a[ax], ops.adag[ax], identity(ctx.basis), scale=1.0
-        )
+        r, win = _comm_residual(ops.a[ax], ops.adag[ax], ident, scale=1.0)
         worst = max(worst, r)
     out.append(
         CheckReport("ladder_canonical", "[a_j, a_j+] = 1", "-", win, worst, TOL_REL_IDENTITY)
@@ -147,7 +146,7 @@ def _fock_checks(ctx: Model) -> list[CheckReport]:
     worst = 0.0
     for ax in AXES:
         for jx in AXES:
-            expected = (1j if ax == jx else 0.0) * identity(ctx.basis)
+            expected = (1j if ax == jx else 0.0) * ident
             r, win = _comm_residual(ops.r[ax], ops.p[jx], expected, scale=1.0)
             worst = max(worst, r)
     out.append(

@@ -8,17 +8,20 @@ has a definite m. The Cartesian ladders a_x = (a_+ + a_-)/sqrt(2) and
 a_y = i(a_+ - a_-)/sqrt(2) are formed from the circular ones. Units use
 hbar = 1 throughout.
 
-Every operator is stored as a canonical complex CSR matrix together with
-a validity window: the largest shell W such that the truncated matrix,
-applied to any vector supported on shells N <= W, acts exactly like the
-untruncated operator. Compositions propagate the window automatically,
-so derived identities always know on which block they are trustworthy.
-Norms are column sums of |A| over the CSR arrays, in row order.
+Every operator is stored as the arrays of a canonical complex CSR matrix
+together with a validity window: the largest shell W such that the
+truncated matrix, applied to any vector supported on shells N <= W, acts
+exactly like the untruncated operator. Compositions propagate the window
+automatically, so derived identities always know on which block they are
+trustworthy. Each @, +, -, scaling and adjoint is one call into the
+compiled routine that scipy's own operator calls, on the arrays, so it
+gives scipy's bits without building scipy objects; the scipy matrix is
+built on first read of .matrix and never mutated. Norms are column sums
+of |A| over the CSR arrays, in row order.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +90,12 @@ def build_basis(n_max: int) -> Basis3D:
 class OperatorMatrix:
     """Sparse complex operator with truncation metadata.
 
-    matrix : complex128 CSR with sorted, unique indices. A result that is
-        one already (a product, sum or difference) is stored as it is.
+    data, indices, indptr : the operator's canonical CSR arrays (complex128
+        data; sorted, unique indices). The algebra reads them and makes
+        new ones, and never changes them.
+    matrix : the same arrays as a scipy csr_matrix, flagged canonical and
+        built on first read, for callers that slice it or hand it to
+        scipy. Never mutate it.
     window : largest shell W such that action on any vector supported on
         shells N <= W equals the untruncated action. A negative window
         means no shell is certified.
@@ -104,55 +111,66 @@ class OperatorMatrix:
     a pure shift) may promote via :meth:`with_window`.
     """
 
-    __slots__ = ("matrix", "basis", "window", "lo", "hi")
+    __slots__ = ("data", "indices", "indptr", "_matrix", "basis", "window", "lo", "hi")
 
     def __init__(self, matrix, basis, window: int, lo: int = 0, hi: int = 0):
-        m = _canonical_csr(matrix)
-        if m.shape != (basis.dim, basis.dim):
-            raise ValueError(f"matrix shape {m.shape} does not match basis dim {basis.dim}")
-        self.matrix = m
+        """matrix is a scipy or dense matrix, or a tuple (data, indices, indptr) of canonical CSR arrays."""
+        if isinstance(matrix, tuple):
+            self.data, self.indices, self.indptr = matrix
+            self._matrix = None
+        else:
+            m = self._matrix = _canonical_csr(matrix)
+            if m.shape != (basis.dim, basis.dim):
+                raise ValueError(f"matrix shape {m.shape} does not match basis dim {basis.dim}")
+            self.data, self.indices, self.indptr = m.data, m.indices, m.indptr
         self.basis = basis
         self.window = min(int(window), basis.n_max)
         self.lo = int(lo)
         self.hi = int(hi)
 
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+            self._matrix.has_canonical_format = True
+        return self._matrix
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.basis.dim, self.basis.dim)
+
     # -- algebra -----------------------------------------------------------
+    # One call into scipy's compiled routine per operation, on the arrays, as
+    # scipy's own operators make it; each result is canonical as it comes out.
 
     def _check_compat(self, other: "OperatorMatrix"):
         if self.basis.key != other.basis.key:
             raise ValueError("operator bases differ")
 
     def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            self._check_compat(other)
-            w = min(other.window, self.window - other.hi)
-            return OperatorMatrix(
-                self.matrix @ other.matrix,
-                self.basis,
-                window=w,
-                lo=self.lo + other.lo,
-                hi=self.hi + other.hi,
-            )
-        return self.matrix @ other
-
-    def _entrywise(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
+        if not isinstance(other, OperatorMatrix):
+            return self.matrix @ other
         self._check_compat(other)
-        return OperatorMatrix(
-            op(self.matrix, other.matrix),
-            self.basis,
-            window=min(self.window, other.window),
-            lo=min(self.lo, other.lo),
-            hi=max(self.hi, other.hi),
-        )
+        n = self.basis.dim
+        nnz = sparse._sparsetools.csr_matmat_maxnnz(n, n, self.indptr, self.indices, other.indptr, other.indices)
+        data, indices, indptr = _csr_kernel("csr_matmat", nnz, self, other)
+        sparse._sparsetools.csr_sort_indices(n, indptr, indices, data)  # Gustavson's rows come out unsorted
+        w = min(other.window, self.window - other.hi)
+        return OperatorMatrix((data, indices, indptr), self.basis, w, self.lo + other.lo, self.hi + other.hi)
+
+    def _entrywise(self, other: "OperatorMatrix", kernel: str) -> "OperatorMatrix":
+        self._check_compat(other)
+        arrays = _csr_kernel(kernel, len(self.data) + len(other.data), self, other)  # drops the entries that cancel
+        return OperatorMatrix(arrays, self.basis, min(self.window, other.window), min(self.lo, other.lo), max(self.hi, other.hi))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._entrywise(other, operator.add)
+        return self._entrywise(other, "csr_plus_csr")
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._entrywise(other, operator.sub)
+        return self._entrywise(other, "csr_minus_csr")
 
     def __mul__(self, alpha) -> "OperatorMatrix":
-        return OperatorMatrix(self.matrix * alpha, self.basis, self.window, self.lo, self.hi)
+        return OperatorMatrix((self.data * alpha, self.indices, self.indptr), self.basis, self.window, self.lo, self.hi)
 
     __rmul__ = __mul__
 
@@ -162,13 +180,13 @@ class OperatorMatrix:
     def adjoint(self) -> "OperatorMatrix":
         n_max = self.basis.n_max
         w = min(self.window + self.lo, n_max + self.lo, n_max)
-        m = self.matrix.T.tocsr()  # a new CSR with its own data, conjugated in place
-        np.conjugate(m.data, out=m.data)
-        return OperatorMatrix(m, self.basis, window=w, lo=-self.hi, hi=-self.lo)
+        data, indices, indptr = _csr_kernel("csr_tocsc", len(self.data), self)
+        np.conjugate(data, out=data)
+        return OperatorMatrix((data, indices, indptr), self.basis, window=w, lo=-self.hi, hi=-self.lo)
 
     def with_window(self, window: int, lo: int, hi: int) -> "OperatorMatrix":
         """Re-declare metadata after an external verification justified it."""
-        return OperatorMatrix(self.matrix, self.basis, window, lo, hi)
+        return OperatorMatrix((self.data, self.indices, self.indptr), self.basis, window, lo, hi)
 
     # -- convenience -------------------------------------------------------
 
@@ -177,13 +195,34 @@ class OperatorMatrix:
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz
+        return len(self.data)
 
     def __repr__(self):
         return (
             f"OperatorMatrix(dim={self.basis.dim}, nnz={self.nnz}, "
             f"window={self.window}, lo={self.lo}, hi={self.hi})"
         )
+
+
+def _index_dtype(maxval: int, *ops):
+    """The index dtype scipy picks: int32 unless maxval or an operand's indices need int64."""
+    return np.int64 if maxval >= 2**31 or any(op.indices.dtype == np.int64 for op in ops) else np.int32
+
+
+def _csr_kernel(name: str, size: int, *ops):
+    """(data, indices, indptr) that scipy's compiled routine `name` writes from
+    the operands' CSR arrays, into new arrays in the index dtype scipy picks,
+    sized for the most entries it may write (size) and then cut, as scipy's
+    prune cuts them, to the entries it did write."""
+    n = ops[0].basis.dim
+    idx = _index_dtype(max(size, n), *ops)
+    indptr, indices, data = np.empty(n + 1, idx), np.empty(size, idx), np.empty(size, np.complex128)
+    args = [x for op in ops for x in (op.indptr.astype(idx, copy=False), op.indices.astype(idx, copy=False), op.data)]
+    getattr(sparse._sparsetools, name)(n, n, *args, indptr, indices, data)
+    nnz = int(indptr[-1])
+    if nnz < len(data) // 2:
+        return data[:nnz].copy(), indices[:nnz].copy(), indptr
+    return data[:nnz], indices[:nnz], indptr
 
 
 def _canonical_csr(matrix):
@@ -204,9 +243,9 @@ def diagonal(basis, values) -> OperatorMatrix:
     """The diagonal operator with the given entries, one per basis state, zeros
     not stored; it keeps every shell, so it is exact on all of them."""
     values = np.asarray(values, dtype=np.complex128)
-    stored = values != 0
-    m = sparse.csr_matrix((values[stored], np.flatnonzero(stored), np.r_[0, np.cumsum(stored)]), shape=(basis.dim,) * 2)
-    return OperatorMatrix(m, basis, basis.n_max, 0, 0)
+    stored, idx = values != 0, _index_dtype(basis.dim)
+    arrays = (values[stored], np.flatnonzero(stored).astype(idx), np.r_[0, np.cumsum(stored)].astype(idx))
+    return OperatorMatrix(arrays, basis, basis.n_max, 0, 0)
 
 
 def identity(basis) -> OperatorMatrix:
@@ -218,7 +257,7 @@ def op_norm_1(a) -> float:
 
     a is an OperatorMatrix or a scipy sparse matrix.
     """
-    return float(_column_abs_sums(a.matrix if isinstance(a, OperatorMatrix) else _canonical_csr(a)).max())
+    return float(_column_abs_sums(a if isinstance(a, OperatorMatrix) else _canonical_csr(a)).max())
 
 
 def masked_norm(a, rows=None, cols=None) -> float:
@@ -229,12 +268,11 @@ def masked_norm(a, rows=None, cols=None) -> float:
 
     a is an OperatorMatrix or a canonical CSR matrix.
     """
-    m = a.matrix if isinstance(a, OperatorMatrix) else a
     if rows is None:
-        sums = _column_abs_sums(m)
+        sums = _column_abs_sums(a)
     else:
-        kept = np.repeat(rows, np.diff(m.indptr))
-        sums = np.bincount(m.indices[kept], np.abs(m.data[kept]), minlength=m.shape[1])
+        kept = np.repeat(rows, np.diff(a.indptr))
+        sums = np.bincount(a.indices[kept], np.abs(a.data[kept]), minlength=a.shape[1])
     return float((sums if cols is None else sums[cols]).max(initial=0.0))
 
 

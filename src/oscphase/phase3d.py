@@ -72,8 +72,10 @@ class DoubledBasis:
         """Block-diagonal action of a single-copy operator on both copies."""
         if op.basis.key != self.spherical.key:
             raise ValueError("operator is not over the underlying spherical basis")
-        m = sparse.block_diag((op.matrix, op.matrix), format="csr")
-        return OperatorMatrix(m, self, window=op.window, lo=op.lo, hi=op.hi)
+        # the second block repeats the entries, its columns shifted by dim_single and its row pointers by nnz
+        d, j, p = op.data, op.indices, op.indptr
+        arrays = (np.concatenate([d, d]), np.concatenate([j, j + self.dim_single]), np.concatenate([p, p[1:] + op.nnz]))
+        return OperatorMatrix(arrays, self, window=op.window, lo=op.lo, hi=op.hi)
 
 
 def _unit_entries(basis, rows, cols, window: int, lo: int, hi: int) -> OperatorMatrix:
@@ -251,9 +253,7 @@ class PhaseOperatorSet:
     def time_operator(self) -> OperatorMatrix:
         """T = -phase / w, cyclic mode only."""
         phase = self.hermitian_phase()
-        m = phase.matrix.copy()
-        m.data = -m.data / self.params.omega
-        return OperatorMatrix(m, phase.basis, phase.window, phase.lo, phase.hi)
+        return OperatorMatrix((-phase.data / self.params.omega, phase.indices, phase.indptr), phase.basis, phase.window, phase.lo, phase.hi)
 
 
 def _cycle_phase(length: int) -> np.ndarray:

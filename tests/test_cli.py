@@ -377,6 +377,7 @@ def test_label_commands_load_no_sparse_stack(tmp_path):
             assert main(["trajectory", "--n-max", "6", "--t-max", "1", "--mode", mode, "--out", out]) == 0
         assert main(["spectrum", "--out", out]) == 0
         assert "scipy.sparse._base" not in sys.modules, "scipy.sparse was loaded"
+        assert "scipy.sparse._sparsetools" not in sys.modules, "scipy's compiled sparse routines were loaded"
         assert "hashlib" not in sys.modules, "hashlib was loaded"
         assert main(["verify", "--n-max", "2", "--out", out]) == 0
         assert "scipy.sparse._base" in sys.modules
